@@ -2,15 +2,16 @@
 
 Terms compile to epsilon-NFAs by the standard structural construction;
 inclusion is checked by a breadth-first product of the left automaton with
-the lazily determinized right automaton, which yields a shortest (and
-letter-order least) counterexample word when inclusion fails.
+the subsets of right-automaton states reachable on the same word, which
+yields a shortest (and letter-order least) counterexample word when
+inclusion fails.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .algebra import (
     Dot,
@@ -62,17 +63,6 @@ class Nfa:
                 raise ValueError("transition endpoint missing from state set")
             if label is not EPSILON and label not in self.alphabet:
                 raise ValueError(f"transition label {label!r} missing from alphabet")
-
-
-@dataclass(frozen=True, eq=False)
-class Dfa:
-    """Deterministic automaton with a total transition function."""
-
-    states: frozenset[int]
-    alphabet: frozenset[str]
-    transition: Mapping[tuple[int, str], int]
-    start: int
-    accepting: frozenset[int]
 
 
 # --- compilation -------------------------------------------------------------
@@ -159,7 +149,7 @@ def compile_plus(t: Term, alphabet: Iterable[str]) -> Nfa:
     return _compile_term(t, alphabet)
 
 
-# --- simulation and determinization ------------------------------------------
+# --- simulation ---------------------------------------------------------------
 
 
 def _epsilon_closures(nfa: Nfa) -> dict[int, frozenset[int]]:
@@ -216,56 +206,6 @@ def accepts(nfa: Nfa, word: Iterable[str]) -> bool:
             return False
         current = nxt
     return bool(current & view.accepting)
-
-
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction; the empty subset acts as the sink state."""
-    view = _ClosedView(nfa)
-    letters = sorted(nfa.alphabet)
-    ids: dict[frozenset[int], int] = {}
-    transition: dict[tuple[int, str], int] = {}
-    accepting: set[int] = set()
-
-    def intern(subset: frozenset[int]) -> int:
-        sid = ids.get(subset)
-        if sid is None:
-            sid = ids[subset] = len(ids)
-            if subset & view.accepting:
-                accepting.add(sid)
-        return sid
-
-    start_subset = frozenset((view.start,))
-    queue = deque((start_subset,))
-    intern(start_subset)
-    done: set[frozenset[int]] = set()
-    while queue:
-        subset = queue.popleft()
-        if subset in done:
-            continue
-        done.add(subset)
-        sid = ids[subset]
-        for letter in letters:
-            nxt: set[int] = set()
-            for q in subset:
-                nxt |= view.moves[q].get(letter, set())
-            target = frozenset(nxt)
-            if target not in ids and target not in done:
-                queue.append(target)
-            transition[(sid, letter)] = intern(target)
-    return Dfa(
-        states=frozenset(ids.values()),
-        alphabet=nfa.alphabet,
-        transition=transition,
-        start=ids[start_subset],
-        accepting=frozenset(accepting),
-    )
-
-
-def dfa_accepts(dfa: Dfa, word: Iterable[str]) -> bool:
-    state = dfa.start
-    for letter in word:
-        state = dfa.transition[(state, letter)]
-    return state in dfa.accepting
 
 
 # --- inclusion ---------------------------------------------------------------

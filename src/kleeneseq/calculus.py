@@ -14,7 +14,6 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .syntax import (
     Formula,
@@ -57,29 +56,6 @@ class RuleId(Enum):
     PLUS_Q_L2 = "PlusQL2"
 
 
-# Rules legal in each logic (Cut is handled separately: check-only).
-_SHARED = (
-    RuleId.AX,
-    RuleId.ONE_R,
-    RuleId.ZERO_L,
-    RuleId.OR_R1,
-    RuleId.OR_R2,
-    RuleId.DIST,
-    RuleId.ONE_L,
-    RuleId.FUSE_L,
-    RuleId.OR_L,
-    RuleId.FUSE_R,
-    RuleId.Q_INTRO_R1,
-    RuleId.Q_INTRO_R2,
-)
-
-RULES_OF = {
-    LogicId.KL: frozenset(_SHARED)
-    | {RuleId.AX_Q, RuleId.Q_INTRO_L1, RuleId.Q_INTRO_L2},
-    LogicId.KL_PLUS: frozenset(_SHARED)
-    | {RuleId.PLUS_Q, RuleId.PLUS_Q_L1, RuleId.PLUS_Q_L2},
-}
-
 # Backward-search order: closure rules, unary right rules, left rules,
 # splitting rules.  Order affects only the shape of the found proof.
 _SEARCH_ORDER = {
@@ -119,194 +95,126 @@ _SEARCH_ORDER = {
     ),
 }
 
+# Rules legal in each logic (Cut is handled separately: check-only).
+RULES_OF = {logic: frozenset(order) for logic, order in _SEARCH_ORDER.items()}
+
 
 @dataclass(frozen=True, eq=False)
 class RuleApp:
-    """One backward instantiation of a rule at a goal sequent."""
+    """One backward instance of a rule at a goal sequent."""
 
     rule: RuleId
     premises: tuple[Sequent, ...]
-    instantiation: Mapping[str, object]
-
-
-def _schema_expand(rule: RuleId, inst: Mapping[str, object]) -> tuple[Sequent, tuple[Sequent, ...]]:
-    """Conclusion and premises determined by a rule's metavariable bindings.
-
-    Sequence bindings (Gamma, Delta, Theta) are tuples of formulas; the
-    lowercase keys bind single formulas.
-    """
-    g = inst.get("Gamma", ())
-    d = inst.get("Delta", ())
-    t = inst.get("Theta", ())
-    a = inst.get("alpha")
-    b = inst.get("beta")
-    c = inst.get("gamma")
-    R = RuleId
-    if rule is R.AX:
-        return Sequent((a,), a), ()
-    if rule is R.CUT:
-        return (
-            Sequent(g + t + d, b),
-            (Sequent(g + (a,) + d, b), Sequent(t, a)),
-        )
-    if rule is R.OR_L:
-        return (
-            Sequent(g + (Or(a, b),) + d, c),
-            (Sequent(g + (a,) + d, c), Sequent(g + (b,) + d, c)),
-        )
-    if rule is R.OR_R1:
-        return Sequent(g, Or(a, b)), (Sequent(g, a),)
-    if rule is R.OR_R2:
-        return Sequent(g, Or(a, b)), (Sequent(g, b),)
-    if rule is R.FUSE_R:
-        return Sequent(g + d, Fuse(a, b)), (Sequent(g, a), Sequent(d, b))
-    if rule is R.FUSE_L:
-        return (
-            Sequent(g + (Fuse(a, b),) + d, c),
-            (Sequent(g + (a, b) + d, c),),
-        )
-    if rule is R.DIST:
-        return (
-            Sequent(g, Or(Fuse(a, b), Fuse(a, c))),
-            (Sequent(g, Fuse(a, Or(b, c))),),
-        )
-    if rule is R.AX_Q:
-        return Sequent((), Query(a)), ()
-    if rule is R.Q_INTRO_R1:
-        return Sequent(d + g, Query(a)), (Sequent(d, a), Sequent(g, Query(a)))
-    if rule is R.Q_INTRO_R2:
-        return Sequent(g + d, Query(a)), (Sequent(d, a), Sequent(g, Query(a)))
-    if rule is R.Q_INTRO_L1:
-        return (
-            Sequent((Query(a),) + g, b),
-            (Sequent((a, b), b), Sequent(g, b)),
-        )
-    if rule is R.Q_INTRO_L2:
-        return (
-            Sequent(g + (Query(a),), b),
-            (Sequent((b, a), b), Sequent(g, b)),
-        )
-    if rule is R.ONE_L:
-        return Sequent(g + (One(),) + d, a), (Sequent(g + d, a),)
-    if rule is R.ONE_R:
-        return Sequent((), One()), ()
-    if rule is R.ZERO_L:
-        return Sequent(g + (Zero(),) + d, a), ()
-    if rule is R.PLUS_Q:
-        return Sequent(g, Query(a)), (Sequent(g, a),)
-    if rule is R.PLUS_Q_L1:
-        return (
-            Sequent((Query(a),) + g, b),
-            (Sequent((a, b), b), Sequent((a,) + g, b)),
-        )
-    if rule is R.PLUS_Q_L2:
-        return (
-            Sequent(g + (Query(a),), b),
-            (Sequent((b, a), b), Sequent(g + (a,), b)),
-        )
-    raise ValueError(f"unknown rule {rule!r}")
 
 
 def _rule_instances(rule: RuleId, goal: Sequent, for_search: bool) -> list[RuleApp]:
-    """Every instantiation of `rule` whose conclusion is `goal`.
+    """Every instance of `rule` whose conclusion is `goal`, with its premises.
+
+    This is the only statement of the non-Cut rules: search reads it
+    backward and the checker matches a node's premises against it.  Each
+    schema is noted as `conclusion <= premises`, with G, D, T for sequences
+    of formulas.
 
     With for_search the query-introduction-on-the-right splits skip the
-    empty Delta (that instance repeats the goal as its own premise and adds
+    empty D (that instance repeats the goal as its own premise and adds
     nothing to backward search); the checker accepts it.
     """
     ante, succ = goal.antecedent, goal.succedent
     out: list[RuleApp] = []
 
-    def emit(**inst: object) -> None:
-        _, premises = _schema_expand(rule, inst)
-        out.append(RuleApp(rule, premises, inst))
+    def emit(*premises: Sequent) -> None:
+        out.append(RuleApp(rule, premises))
 
     R = RuleId
     if rule is R.AX:
+        # A |- A
         if len(ante) == 1 and ante[0] == succ:
-            emit(alpha=succ)
+            emit()
     elif rule is R.AX_Q:
+        # |- A?
         if not ante and isinstance(succ, Query):
-            emit(alpha=succ.body)
+            emit()
     elif rule is R.ONE_R:
+        # |- 1
         if not ante and isinstance(succ, One):
             emit()
     elif rule is R.ZERO_L:
-        for k, f in enumerate(ante):
+        # G, 0, D |- A
+        for f in ante:
             if isinstance(f, Zero):
-                emit(Gamma=ante[:k], Delta=ante[k + 1 :], alpha=succ)
+                emit()
     elif rule is R.OR_R1:
+        # G |- A | B  <=  G |- A
         if isinstance(succ, Or):
-            emit(Gamma=ante, alpha=succ.left, beta=succ.right)
+            emit(Sequent(ante, succ.left))
     elif rule is R.OR_R2:
+        # G |- A | B  <=  G |- B
         if isinstance(succ, Or):
-            emit(Gamma=ante, alpha=succ.left, beta=succ.right)
+            emit(Sequent(ante, succ.right))
     elif rule is R.DIST:
+        # G |- A.B | A.C  <=  G |- A.(B | C)
         if (
             isinstance(succ, Or)
             and isinstance(succ.left, Fuse)
             and isinstance(succ.right, Fuse)
             and succ.left.left == succ.right.left
         ):
-            emit(
-                Gamma=ante,
-                alpha=succ.left.left,
-                beta=succ.left.right,
-                gamma=succ.right.right,
-            )
+            emit(Sequent(ante, Fuse(succ.left.left, Or(succ.left.right, succ.right.right))))
     elif rule is R.PLUS_Q:
+        # G |- A?  <=  G |- A
         if isinstance(succ, Query):
-            emit(Gamma=ante, alpha=succ.body)
+            emit(Sequent(ante, succ.body))
     elif rule is R.ONE_L:
+        # G, 1, D |- A  <=  G, D |- A
         for k, f in enumerate(ante):
             if isinstance(f, One):
-                emit(Gamma=ante[:k], Delta=ante[k + 1 :], alpha=succ)
+                emit(Sequent(ante[:k] + ante[k + 1 :], succ))
     elif rule is R.FUSE_L:
+        # G, A.B, D |- C  <=  G, A, B, D |- C
         for k, f in enumerate(ante):
             if isinstance(f, Fuse):
-                emit(
-                    Gamma=ante[:k],
-                    Delta=ante[k + 1 :],
-                    alpha=f.left,
-                    beta=f.right,
-                    gamma=succ,
-                )
+                emit(Sequent(ante[:k] + (f.left, f.right) + ante[k + 1 :], succ))
     elif rule is R.OR_L:
+        # G, A | B, D |- C  <=  G, A, D |- C  and  G, B, D |- C
         for k, f in enumerate(ante):
             if isinstance(f, Or):
-                emit(
-                    Gamma=ante[:k],
-                    Delta=ante[k + 1 :],
-                    alpha=f.left,
-                    beta=f.right,
-                    gamma=succ,
-                )
+                g, d = ante[:k], ante[k + 1 :]
+                emit(Sequent(g + (f.left,) + d, succ), Sequent(g + (f.right,) + d, succ))
     elif rule is R.Q_INTRO_L1:
+        # A?, G |- B  <=  A, B |- B  and  G |- B
         if ante and isinstance(ante[0], Query):
-            emit(alpha=ante[0].body, Gamma=ante[1:], beta=succ)
+            emit(Sequent((ante[0].body, succ), succ), Sequent(ante[1:], succ))
     elif rule is R.Q_INTRO_L2:
+        # G, A? |- B  <=  B, A |- B  and  G |- B
         if ante and isinstance(ante[-1], Query):
-            emit(alpha=ante[-1].body, Gamma=ante[:-1], beta=succ)
+            emit(Sequent((succ, ante[-1].body), succ), Sequent(ante[:-1], succ))
     elif rule is R.PLUS_Q_L1:
+        # A?, G |- B  <=  A, B |- B  and  A, G |- B
         if ante and isinstance(ante[0], Query):
-            emit(alpha=ante[0].body, Gamma=ante[1:], beta=succ)
+            a = ante[0].body
+            emit(Sequent((a, succ), succ), Sequent((a,) + ante[1:], succ))
     elif rule is R.PLUS_Q_L2:
+        # G, A? |- B  <=  B, A |- B  and  G, A |- B
         if ante and isinstance(ante[-1], Query):
-            emit(alpha=ante[-1].body, Gamma=ante[:-1], beta=succ)
+            a = ante[-1].body
+            emit(Sequent((succ, a), succ), Sequent(ante[:-1] + (a,), succ))
     elif rule is R.FUSE_R:
+        # G, D |- A.B  <=  G |- A  and  D |- B
         if isinstance(succ, Fuse):
             for k in range(len(ante) + 1):
-                emit(Gamma=ante[:k], Delta=ante[k:], alpha=succ.left, beta=succ.right)
+                emit(Sequent(ante[:k], succ.left), Sequent(ante[k:], succ.right))
     elif rule is R.Q_INTRO_R1:
+        # D, G |- A?  <=  D |- A  and  G |- A?
         if isinstance(succ, Query):
             lo = 1 if for_search else 0
             for k in range(lo, len(ante) + 1):
-                emit(Delta=ante[:k], Gamma=ante[k:], alpha=succ.body)
+                emit(Sequent(ante[:k], succ.body), Sequent(ante[k:], succ))
     elif rule is R.Q_INTRO_R2:
+        # G, D |- A?  <=  D |- A  and  G |- A?
         if isinstance(succ, Query):
             hi = len(ante) if for_search else len(ante) + 1
             for k in range(hi):
-                emit(Gamma=ante[:k], Delta=ante[k:], alpha=succ.body)
+                emit(Sequent(ante[k:], succ.body), Sequent(ante[:k], succ))
     elif rule is R.CUT:
         raise ValueError("Cut has no backward instances; it is check-only")
     else:
@@ -315,7 +223,7 @@ def _rule_instances(rule: RuleId, goal: Sequent, for_search: bool) -> list[RuleA
 
 
 def applicable_rules(logic: LogicId, goal: Sequent) -> list[RuleApp]:
-    """All backward instantiations of the logic's non-Cut rules at `goal`,
+    """All backward instances of the logic's non-Cut rules at `goal`,
     in search order.  Closure rules carry empty premise tuples."""
     out: list[RuleApp] = []
     for rule in _SEARCH_ORDER[logic]:
@@ -328,17 +236,12 @@ def applicable_rules(logic: LogicId, goal: Sequent) -> list[RuleApp]:
 
 @dataclass(frozen=True, eq=False)
 class ProofTree:
-    """A rule-labelled derivation tree.
-
-    `instantiation` records the metavariable bindings the rule was applied
-    with; trees loaded from JSON carry None and the checker infers the
-    bindings by schema matching.
-    """
+    """A rule-labelled derivation tree; the checker infers each node's
+    rule instance from its conclusion and premises."""
 
     conclusion: Sequent
     rule: RuleId
     premises: tuple[ProofTree, ...] = ()
-    instantiation: Mapping[str, object] | None = None
 
 
 def tree_to_json_dict(tree: ProofTree) -> dict:
@@ -422,20 +325,7 @@ def check_proof(logic: LogicId, tree: ProofTree, allow_cut: bool = False) -> Vio
         elif rule not in RULES_OF[logic]:
             return Violation(path, rule, f"rule is not part of {logic.value}")
         children = tuple(p.conclusion for p in node.premises)
-        if node.instantiation is not None:
-            try:
-                conclusion, premises = _schema_expand(rule, node.instantiation)
-            except (TypeError, ValueError):
-                return Violation(path, rule, "malformed instantiation")
-            if conclusion != node.conclusion:
-                return Violation(
-                    path, rule, "conclusion does not match the stored bindings"
-                )
-            if premises != children:
-                return Violation(
-                    path, rule, "premises do not match the stored bindings"
-                )
-        elif not _matches_some_instance(rule, node.conclusion, children):
+        if not _matches_some_instance(rule, node.conclusion, children):
             return Violation(
                 path, rule, "no instantiation of the rule fits conclusion and premises"
             )
@@ -452,6 +342,7 @@ def _matches_some_instance(
     rule: RuleId, conclusion: Sequent, children: tuple[Sequent, ...]
 ) -> bool:
     if rule is RuleId.CUT:
+        # G, T, D |- B  <=  G, A, D |- B  and  T |- A
         if len(children) != 2:
             return False
         main, side = children
@@ -574,12 +465,7 @@ class Prover:
                     usable = False
                     break
             if usable:
-                return ProofTree(
-                    s,
-                    app.rule,
-                    tuple(self._build(p) for p in app.premises),
-                    app.instantiation,
-                )
+                return ProofTree(s, app.rule, tuple(self._build(p) for p in app.premises))
         raise AssertionError(f"no justification recorded for {print_sequent(s)}")
 
 

@@ -194,6 +194,9 @@ def run(config: RunConfig) -> int:
     except ValueError as e:  # covers parse errors and malformed proof JSON
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:  # the parsers, printers and checker recurse on nesting
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 def _positive_int(text: str) -> int:
@@ -275,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with open(args.file, encoding="utf-8") as fh:
                     input_text = fh.read()
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 print(f"error: {e}", file=sys.stderr)
                 return 2
         elif args.input is not None:

@@ -8,15 +8,12 @@ from kleeneseq import algebra as alg
 from kleeneseq import automata, oracle
 from kleeneseq.automata import (
     AlphabetMismatchError,
-    Dfa,
     Nfa,
     StateLimitError,
     accepts,
     compile,
     compile_plus,
     decide,
-    determinize,
-    dfa_accepts,
     equivalent,
     includes,
     to_dot,
@@ -190,62 +187,6 @@ def test_counterexample_membership_plus_family_seeded():
         if not result.holds:
             assert accepts(nx, result.counterexample)
             assert not accepts(ny, result.counterexample)
-
-
-# --- determinization -------------------------------------------------------
-
-
-def _random_nfa(draw_ints, n_states=4):
-    states = frozenset(range(n_states))
-    transitions = set()
-    for src, dst, label in draw_ints:
-        transitions.add((src % n_states, label, dst % n_states))
-    return Nfa(
-        states=states,
-        alphabet=frozenset(AB),
-        transitions=frozenset(transitions),
-        start=0,
-        accepting=frozenset((n_states - 1,)),
-    )
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(["a", "b", None])),
-        max_size=14,
-    )
-)
-@settings(max_examples=80, deadline=None)
-def test_determinize_agrees_with_nfa_on_bounded_words(edges):
-    nfa = _random_nfa(edges)
-    dfa = determinize(nfa)
-    assert isinstance(dfa, Dfa)
-    for n in range(0, 6):
-        for w in itertools.product(AB, repeat=n):
-            assert dfa_accepts(dfa, w) == accepts(nfa, w)
-
-
-def test_determinize_to_length_8_on_terms():
-    for text in ("(a.b)*", "a*.b.a*", "(a+b.a)*", "a.(b+1).(a.b)*"):
-        nfa = compile(alg.parse_star_term(text), AB)
-        dfa = determinize(nfa)
-        for n in range(0, 9):
-            for w in itertools.product(AB, repeat=n):
-                assert dfa_accepts(dfa, w) == accepts(nfa, w)
-
-
-def test_dfa_transition_function_is_total():
-    dfa = determinize(compile(alg.parse_star_term("a.b"), AB))
-    for state in dfa.states:
-        for letter in AB:
-            assert (state, letter) in dfa.transition
-
-
-def test_determinize_empty_language():
-    dfa = determinize(compile(alg.Zero(), AB))
-    assert dfa.accepting == frozenset()
-    assert not dfa_accepts(dfa, ())
-    assert not dfa_accepts(dfa, ("a", "b"))
 
 
 # --- decide -----------------------------------------------------------------

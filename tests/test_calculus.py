@@ -115,6 +115,16 @@ def test_premises_shrink_except_bounded_left_query_resets(s):
                     )
 
 
+def test_rule_instances_match_oracle_expansions():
+    """The rules are stated once, in the calculus; the oracle restates them
+    independently.  Both must propose the same premise tuples at every goal."""
+    for logic in (KL, KLP):
+        for s in oracle.enumerate_sequents({"a", "b"}, 5):
+            ours = {app.premises for app in applicable_rules(logic, s)}
+            theirs = {tuple(premises) for premises in oracle._expansions(logic, s)}
+            assert ours == theirs, (logic, print_sequent(s))
+
+
 # --- check_proof ----------------------------------------------------------------
 
 
@@ -188,14 +198,6 @@ def test_check_reports_deep_violation_path():
     )
     violation = check_proof(KL, tree)
     assert violation is not None and violation.path == (1,)
-
-
-def test_check_rejects_malformed_stored_instantiation():
-    tree = ProofTree(
-        parse_sequent("a |- a"), RuleId.AX, (), {"alpha": parse_sequent("a |- a")}
-    )
-    violation = check_proof(KL, tree)
-    assert violation is not None
 
 
 def test_check_rejects_leaf_claiming_a_unary_rule():
@@ -275,12 +277,6 @@ def test_prove_prefers_small_proofs():
     assert tree.rule is RuleId.PLUS_Q
     assert tree.premises[0].rule is RuleId.AX
     assert prove(KL, parse_sequent("a |- a")).rule is RuleId.AX
-
-
-def test_prove_trees_carry_instantiations():
-    tree = prove(KL, parse_sequent("a, b |- a . b"))
-    assert tree.instantiation is not None
-    assert check_proof(KL, tree) is None
 
 
 def test_fresh_prover_matches_shared_one():

@@ -56,6 +56,13 @@ def test_decide_parse_error_exit_2(capsys):
     assert "error" in err
 
 
+def test_decide_deeply_nested_formula_exit_2(capsys):
+    text = "(" * 300 + "a" + ")" * 300 + " |- a"
+    code, out, err = run(capsys, "decide", "--logic", "kl", text)
+    assert (code, out) == (2, "")
+    assert err == "error: input nested too deeply\n"
+
+
 def test_decide_dot_dump(capsys, tmp_path):
     target = tmp_path / "automata.dot"
     code, _, _ = run(
@@ -86,6 +93,14 @@ def test_decide_file_input(capsys, tmp_path):
     path.write_text("a |- a\n", encoding="utf-8")
     code, out, _ = run(capsys, "decide", "--logic", "kl", "--file", str(path))
     assert code == 0 and out.strip() == "derivable"
+
+
+def test_decide_non_utf8_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "sequent.txt"
+    path.write_bytes(b"a \xff |- a")
+    code, out, err = run(capsys, "decide", "--logic", "kl", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_missing_input_is_usage_error(capsys):
@@ -166,6 +181,18 @@ def test_check_json_format(capsys):
 def test_check_malformed_json_exit_2(capsys):
     code, _, err = run(capsys, "check", "--logic", "kl", "{not json")
     assert code == 2 and "error" in err
+
+
+def test_check_deeply_nested_json_exit_2(capsys):
+    depth = 3000
+    text = (
+        '{"rule": "OneL", "conclusion": "1 |- a", "premises": [' * depth
+        + '{"rule": "Ax", "conclusion": "a |- a", "premises": []}'
+        + "]}" * depth
+    )
+    code, out, err = run(capsys, "check", "--logic", "kl", text)
+    assert (code, out) == (2, "")
+    assert err == "error: input nested too deeply\n"
 
 
 def test_check_unknown_rule_exit_2(capsys):
