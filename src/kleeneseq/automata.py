@@ -1,10 +1,11 @@
 """Finite automata over variable alphabets and the semantic decision procedure.
 
-Terms compile to epsilon-NFAs by the standard structural construction;
-inclusion is checked by a breadth-first product of the left automaton with
-the subsets of right-automaton states reachable on the same word, which
-yields a shortest (and letter-order least) counterexample word when
-inclusion fails.
+Terms compile to position automata (Glushkov 1961; McNaughton and Yamada
+1960): one start state plus one state per letter occurrence, entered only on
+that letter, so there are no epsilon-moves.  Inclusion is checked by a
+breadth-first product of the left automaton with the subsets of
+right-automaton states reachable on the same word, which yields a shortest
+(and letter-order least) counterexample word when inclusion fails.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .algebra import (
 from .calculus import LogicId
 from .syntax import Sequent, sequent_variables
 
-EPSILON = None
-
 DEFAULT_STATE_CAP = 10**6
 
 
@@ -45,11 +44,11 @@ class StateLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Nfa:
-    """Nondeterministic automaton; labels are variable names or EPSILON."""
+    """Nondeterministic automaton; every label is a letter of the alphabet."""
 
     states: frozenset[int]
     alphabet: frozenset[str]
-    transitions: frozenset[tuple[int, str | None, int]]
+    transitions: frozenset[tuple[int, str, int]]
     start: int
     accepting: frozenset[int]
 
@@ -61,77 +60,65 @@ class Nfa:
         for src, label, dst in self.transitions:
             if src not in self.states or dst not in self.states:
                 raise ValueError("transition endpoint missing from state set")
-            if label is not EPSILON and label not in self.alphabet:
+            if label not in self.alphabet:
                 raise ValueError(f"transition label {label!r} missing from alphabet")
 
 
 # --- compilation -------------------------------------------------------------
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.count = 0
-        self.transitions: list[tuple[int, str | None, int]] = []
-
-    def fresh(self) -> int:
-        self.count += 1
-        return self.count - 1
-
-    def edge(self, src: int, label: str | None, dst: int) -> None:
-        self.transitions.append((src, label, dst))
-
-    def build(self, t: Term) -> tuple[int, int]:
-        """(start, accept) fragment for a term; single accept state."""
-        start, accept = self.fresh(), self.fresh()
-        if isinstance(t, Zero):
-            pass  # accept unreachable: empty language
-        elif isinstance(t, One):
-            self.edge(start, EPSILON, accept)
-        elif isinstance(t, Var):
-            self.edge(start, t.name, accept)
-        elif isinstance(t, Plus):
-            ls, la = self.build(t.left)
-            rs, ra = self.build(t.right)
-            self.edge(start, EPSILON, ls)
-            self.edge(start, EPSILON, rs)
-            self.edge(la, EPSILON, accept)
-            self.edge(ra, EPSILON, accept)
-        elif isinstance(t, Dot):
-            ls, la = self.build(t.left)
-            rs, ra = self.build(t.right)
-            self.edge(start, EPSILON, ls)
-            self.edge(la, EPSILON, rs)
-            self.edge(ra, EPSILON, accept)
-        elif isinstance(t, Star):
-            bs, ba = self.build(t.body)
-            self.edge(start, EPSILON, bs)
-            self.edge(start, EPSILON, accept)
-            self.edge(ba, EPSILON, bs)
-            self.edge(ba, EPSILON, accept)
-        elif isinstance(t, Sharp):
-            # like Star but without the skip edge: at least one pass
-            bs, ba = self.build(t.body)
-            self.edge(start, EPSILON, bs)
-            self.edge(ba, EPSILON, bs)
-            self.edge(ba, EPSILON, accept)
-        else:
-            raise TypeError(f"not a term: {t!r}")
-        return start, accept
-
-
 def _compile_term(t: Term, alphabet: Iterable[str]) -> Nfa:
+    """Position automaton: state 0 starts, state p is the p-th letter
+    occurrence of `t` and is entered only on that letter."""
     alpha = frozenset(alphabet)
     missing = term_variables(t) - alpha
     if missing:
         raise ValueError(f"term mentions variables outside the alphabet: {sorted(missing)}")
-    b = _Builder()
-    start, accept = b.build(t)
+    letters: list[str] = []  # letters[p - 1] labels position p
+    transitions: set[tuple[int, str, int]] = set()
+
+    def link(sources: Iterable[int], targets: Iterable[int]) -> None:
+        transitions.update((p, letters[q - 1], q) for p in sources for q in targets)
+
+    def walk(t: Term) -> tuple[bool, frozenset[int], frozenset[int]]:
+        """(nullable, first, last) of `t`; links the positions that follow
+        one another inside `t`."""
+        if isinstance(t, Zero):
+            return False, frozenset(), frozenset()
+        if isinstance(t, One):
+            return True, frozenset(), frozenset()
+        if isinstance(t, Var):
+            letters.append(t.name)
+            here = frozenset((len(letters),))
+            return False, here, here
+        if isinstance(t, Plus):
+            lnull, lfirst, llast = walk(t.left)
+            rnull, rfirst, rlast = walk(t.right)
+            return lnull or rnull, lfirst | rfirst, llast | rlast
+        if isinstance(t, Dot):
+            lnull, lfirst, llast = walk(t.left)
+            rnull, rfirst, rlast = walk(t.right)
+            link(llast, rfirst)
+            return (
+                lnull and rnull,
+                lfirst | rfirst if lnull else lfirst,
+                llast | rlast if rnull else rlast,
+            )
+        if isinstance(t, (Star, Sharp)):
+            # Sharp is Star without the empty pass
+            null, first, last = walk(t.body)
+            link(last, first)
+            return null or isinstance(t, Star), first, last
+        raise TypeError(f"not a term: {t!r}")
+
+    nullable, first, last = walk(t)
+    link((0,), first)
     return Nfa(
-        states=frozenset(range(b.count)),
+        states=frozenset(range(len(letters) + 1)),
         alphabet=alpha,
-        transitions=frozenset(b.transitions),
-        start=start,
-        accepting=frozenset((accept,)),
+        transitions=frozenset(transitions),
+        start=0,
+        accepting=last | {0} if nullable else last,
     )
 
 
@@ -152,60 +139,26 @@ def compile_plus(t: Term, alphabet: Iterable[str]) -> Nfa:
 # --- simulation ---------------------------------------------------------------
 
 
-def _epsilon_closures(nfa: Nfa) -> dict[int, frozenset[int]]:
-    eps: dict[int, list[int]] = {}
+def _moves(nfa: Nfa) -> dict[int, dict[str, set[int]]]:
+    """Successor sets per state and letter."""
+    moves: dict[int, dict[str, set[int]]] = {q: {} for q in nfa.states}
     for src, label, dst in nfa.transitions:
-        if label is EPSILON:
-            eps.setdefault(src, []).append(dst)
-    closures: dict[int, frozenset[int]] = {}
-    for q in nfa.states:
-        seen = {q}
-        queue = deque((q,))
-        while queue:
-            cur = queue.popleft()
-            for nxt in eps.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        closures[q] = frozenset(seen)
-    return closures
-
-
-class _ClosedView:
-    """Epsilon-free reading of an NFA: letter moves already start from the
-    closure of a state, and acceptance looks through the closure."""
-
-    def __init__(self, nfa: Nfa):
-        closures = _epsilon_closures(nfa)
-        moves: dict[int, dict[str, set[int]]] = {q: {} for q in nfa.states}
-        by_src: dict[int, list[tuple[str, int]]] = {}
-        for src, label, dst in nfa.transitions:
-            if label is not EPSILON:
-                by_src.setdefault(src, []).append((label, dst))
-        for q in nfa.states:
-            table = moves[q]
-            for p in closures[q]:
-                for label, dst in by_src.get(p, ()):
-                    table.setdefault(label, set()).add(dst)
-        self.moves = moves
-        self.accepting = frozenset(
-            q for q in nfa.states if closures[q] & nfa.accepting
-        )
-        self.start = nfa.start
+        moves[src].setdefault(label, set()).add(dst)
+    return moves
 
 
 def accepts(nfa: Nfa, word: Iterable[str]) -> bool:
     """Direct membership check (used to re-verify counterexamples)."""
-    view = _ClosedView(nfa)
-    current = {view.start}
+    moves = _moves(nfa)
+    current = {nfa.start}
     for letter in word:
         nxt: set[int] = set()
         for q in current:
-            nxt |= view.moves[q].get(letter, set())
+            nxt |= moves[q].get(letter, set())
         if not nxt:
             return False
         current = nxt
-    return bool(current & view.accepting)
+    return bool(current & nfa.accepting)
 
 
 # --- inclusion ---------------------------------------------------------------
@@ -230,11 +183,10 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(left.alphabet)} vs {sorted(right.alphabet)}"
         )
-    lview = _ClosedView(left)
-    rview = _ClosedView(right)
+    lmoves, rmoves = _moves(left), _moves(right)
     letters = sorted(left.alphabet)
 
-    start = (lview.start, frozenset((rview.start,)))
+    start = (left.start, frozenset((right.start,)))
     # parent links reconstruct the witness word
     seen: dict[tuple[int, frozenset[int]], tuple[tuple[int, frozenset[int]] | None, str | None]] = {
         start: (None, None)
@@ -243,7 +195,7 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
     while queue:
         pair = queue.popleft()
         lstate, rsubset = pair
-        if lstate in lview.accepting and not (rsubset & rview.accepting):
+        if lstate in left.accepting and not (rsubset & right.accepting):
             word: list[str] = []
             cursor: tuple[int, frozenset[int]] | None = pair
             while cursor is not None:
@@ -253,12 +205,12 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
                 cursor = parent
             return InclusionResult(False, tuple(reversed(word)))
         for letter in letters:
-            ltargets = lview.moves[lstate].get(letter)
+            ltargets = lmoves[lstate].get(letter)
             if not ltargets:
                 continue
             rtarget: set[int] = set()
             for q in rsubset:
-                rtarget |= rview.moves[q].get(letter, set())
+                rtarget |= rmoves[q].get(letter, set())
             rsub = frozenset(rtarget)
             for lnext in sorted(ltargets):
                 nxt = (lnext, rsub)
@@ -318,10 +270,7 @@ def to_dot(nfa: Nfa, name: str = "nfa") -> str:
         shape = "doublecircle" if q in nfa.accepting else "circle"
         lines.append(f"  q{q} [shape={shape}, label=\"{q}\"];")
     lines.append(f"  hidden -> q{nfa.start};")
-    for src, label, dst in sorted(
-        nfa.transitions, key=lambda e: (e[0], e[1] or "", e[2])
-    ):
-        text = "ε" if label is EPSILON else label
-        lines.append(f'  q{src} -> q{dst} [label="{text}"];')
+    for src, label, dst in sorted(nfa.transitions):
+        lines.append(f'  q{src} -> q{dst} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)

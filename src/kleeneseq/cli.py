@@ -197,6 +197,9 @@ def run(config: RunConfig) -> int:
     except RecursionError:  # the parsers, printers and checker recurse on nesting
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    except OSError as e:  # `decide --dot` could not write its file
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 def _positive_int(text: str) -> int:

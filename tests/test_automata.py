@@ -86,6 +86,54 @@ def test_compile_rejects_wrong_family():
         compile_plus(alg.Star(a), AB)
 
 
+def _var_leaves(t):
+    if isinstance(t, alg.Var):
+        return 1
+    if isinstance(t, (alg.Zero, alg.One)):
+        return 0
+    if isinstance(t, (alg.Star, alg.Sharp)):
+        return _var_leaves(t.body)
+    return _var_leaves(t.left) + _var_leaves(t.right)
+
+
+def _assert_position_automaton_of(nfa, t):
+    assert nfa.states == frozenset(range(1 + _var_leaves(t)))
+    assert all(label in nfa.alphabet for _, label, _ in nfa.transitions)
+    assert words_up_to(nfa, 5) == oracle.enumerate_language(t, 5).words
+
+
+@given(star_terms(max_leaves=6))
+@settings(max_examples=100, deadline=None)
+def test_compile_is_position_automaton(t):
+    _assert_position_automaton_of(compile(t, AB), t)
+
+
+@given(plus_terms(max_leaves=6))
+@settings(max_examples=100, deadline=None)
+def test_compile_plus_is_position_automaton(t):
+    _assert_position_automaton_of(compile_plus(t, AB), t)
+
+
+def test_compile_plus_is_position_automaton_seeded():
+    for pair in seeded_term_pairs(seed=7, count=60, max_size=7, plus_family=True):
+        for t in pair:
+            _assert_position_automaton_of(compile_plus(t, AB), t)
+
+
+@pytest.mark.parametrize(
+    "text", ["0*", "0^", "1^", "(1+a)^", "(0.a)*", "(a.0)^", "a*.b*"]
+)
+def test_compile_nullability_and_dead_positions(text):
+    # iterations of 0 and 1, and letters that no word can reach or leave
+    if "^" in text:
+        t = alg.parse_plus_term(text)
+        nfa = compile_plus(t, AB)
+    else:
+        t = alg.parse_star_term(text)
+        nfa = compile(t, AB)
+    _assert_position_automaton_of(nfa, t)
+
+
 def test_nfa_validation():
     with pytest.raises(ValueError):
         Nfa(frozenset((0,)), frozenset(), frozenset(), 1, frozenset())
@@ -222,4 +270,5 @@ def test_to_dot_mentions_all_states():
     assert dot.startswith("digraph left {")
     for q in nfa.states:
         assert f"q{q}" in dot
-    assert '"ε"' in dot
+    assert 'q0 -> q1 [label="a"]' in dot
+    assert 'q1 -> q2 [label="b"]' in dot

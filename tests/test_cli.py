@@ -71,6 +71,14 @@ def test_decide_dot_dump(capsys, tmp_path):
     assert code == 0
     text = target.read_text(encoding="utf-8")
     assert "digraph left {" in text and "digraph right {" in text
+    assert "ε" not in text
+
+
+def test_decide_dot_unwritable_path_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "automata.dot"
+    code, out, err = run(capsys, "decide", "--logic", "kl", "--dot", str(target), "a |- a")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
 
 
 def test_decide_state_cap_error_is_distinct(capsys):
