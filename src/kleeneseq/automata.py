@@ -5,7 +5,10 @@ Terms compile to position automata (Glushkov 1961; McNaughton and Yamada
 that letter, so there are no epsilon-moves.  Inclusion is checked by a
 breadth-first product of the left automaton with the subsets of
 right-automaton states reachable on the same word, which yields a shortest
-(and letter-order least) counterexample word when inclusion fails.
+(and letter-order least) counterexample word when inclusion fails.  The
+product is pruned by antichains: a pair whose right subset contains that of
+an earlier pair with the same left state is never explored, which keeps both
+the verdict and that counterexample (see `includes`).
 """
 
 from __future__ import annotations
@@ -139,6 +142,9 @@ def compile_plus(t: Term, alphabet: Iterable[str]) -> Nfa:
 # --- simulation ---------------------------------------------------------------
 
 
+_NO_MOVES: frozenset[int] = frozenset()
+
+
 def _moves(nfa: Nfa) -> dict[int, dict[str, set[int]]]:
     """Successor sets per state and letter."""
     moves: dict[int, dict[str, set[int]]] = {q: {} for q in nfa.states}
@@ -154,7 +160,7 @@ def accepts(nfa: Nfa, word: Iterable[str]) -> bool:
     for letter in word:
         nxt: set[int] = set()
         for q in current:
-            nxt |= moves[q].get(letter, set())
+            nxt |= moves[q].get(letter, _NO_MOVES)
         if not nxt:
             return False
         current = nxt
@@ -178,6 +184,15 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
 
     When not, the counterexample is a shortest word accepted by `left` and
     rejected by `right` (ties broken by sorted letter order).
+
+    The search is breadth-first over pairs (left state, set of right states
+    reached on the same word), discovered in shortlex order of their words,
+    and it keeps for each left state an antichain of the least right sets
+    admitted so far (De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  A new
+    pair (l, S) is dropped when some earlier pair (l, S') has S' <= S: every
+    suffix that leads (l, S) to a counterexample leads (l, S') to one too,
+    from a word no later in shortlex order, so pruning changes neither the
+    verdict nor the counterexample.  `state_cap` bounds the number of admitted pairs.
     """
     if left.alphabet != right.alphabet:
         raise AlphabetMismatchError(
@@ -187,10 +202,12 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
     letters = sorted(left.alphabet)
 
     start = (left.start, frozenset((right.start,)))
-    # parent links reconstruct the witness word
+    # parent links of the admitted pairs reconstruct the witness word
     seen: dict[tuple[int, frozenset[int]], tuple[tuple[int, frozenset[int]] | None, str | None]] = {
         start: (None, None)
     }
+    # per left state, the minimal right sets among the admitted pairs
+    least: dict[int, list[frozenset[int]]] = {left.start: [start[1]]}
     queue = deque((start,))
     while queue:
         pair = queue.popleft()
@@ -210,17 +227,23 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
                 continue
             rtarget: set[int] = set()
             for q in rsubset:
-                rtarget |= rmoves[q].get(letter, set())
+                rtarget |= rmoves[q].get(letter, _NO_MOVES)
             rsub = frozenset(rtarget)
             for lnext in sorted(ltargets):
                 nxt = (lnext, rsub)
-                if nxt not in seen:
-                    if len(seen) >= state_cap:
-                        raise StateLimitError(
-                            f"inclusion check exceeded {state_cap} product states"
-                        )
-                    seen[nxt] = (pair, letter)
-                    queue.append(nxt)
+                if nxt in seen:
+                    continue
+                kept = least.setdefault(lnext, [])
+                if any(smaller <= rsub for smaller in kept):
+                    continue
+                if len(seen) >= state_cap:
+                    raise StateLimitError(
+                        f"inclusion check exceeded {state_cap} product states"
+                    )
+                kept[:] = [larger for larger in kept if not rsub <= larger]
+                kept.append(rsub)
+                seen[nxt] = (pair, letter)
+                queue.append(nxt)
     return InclusionResult(True, None)
 
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from time import perf_counter
 
 from . import algebra, automata, calculus, oracle
 from .calculus import LogicId
@@ -113,7 +114,14 @@ def _run_translate(config: RunConfig) -> int:
 
 def _run_crossval(config: RunConfig) -> int:
     stats = {
-        logic: {"total": 0, "derivable": 0, "disagreements": 0, "oracle_mismatches": 0}
+        logic: {
+            "total": 0,
+            "derivable": 0,
+            "disagreements": 0,
+            "oracle_mismatches": 0,
+            "prove_s": 0.0,  # wall time in each route
+            "decide_s": 0.0,
+        }
         for logic in LogicId
     }
     fragment_violations = 0
@@ -123,8 +131,12 @@ def _run_crossval(config: RunConfig) -> int:
         for logic in LogicId:
             row = stats[logic]
             row["total"] += 1
+            t0 = perf_counter()
             by_search = provers[logic].derivable(s)
+            t1 = perf_counter()
             decision = automata.decide(logic, s, state_cap=config.state_cap)
+            row["prove_s"] += t1 - t0
+            row["decide_s"] += perf_counter() - t1
             proved[logic] = by_search
             if by_search:
                 row["derivable"] += 1
@@ -162,13 +174,17 @@ def _run_crossval(config: RunConfig) -> int:
         )
     else:
         print(f"cross-validation over {{a, b}} at size <= {config.max_size}:")
-        header = f"{'logic':<6} {'total':>7} {'derivable':>10} {'disagree':>9} {'oracle-miss':>12}"
+        header = (
+            f"{'logic':<6} {'total':>7} {'derivable':>10} {'disagree':>9} {'oracle-miss':>12}"
+            f" {'prove-s':>8} {'decide-s':>9}"
+        )
         print(header)
         for logic in LogicId:
             row = stats[logic]
             print(
                 f"{logic.value:<6} {row['total']:>7} {row['derivable']:>10}"
                 f" {row['disagreements']:>9} {row['oracle_mismatches']:>12}"
+                f" {row['prove_s']:>8.3f} {row['decide_s']:>9.3f}"
             )
         print(f"fragment violations: {fragment_violations}")
         print("ok" if bad == 0 else "DISAGREEMENTS FOUND")

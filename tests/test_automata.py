@@ -237,6 +237,67 @@ def test_counterexample_membership_plus_family_seeded():
             assert not accepts(ny, result.counterexample)
 
 
+def _shortlex_least_difference(nx, ny, max_len=6):
+    """The first word in shortlex order, up to `max_len`, in nx and not ny."""
+    for n in range(max_len + 1):
+        for w in itertools.product(AB, repeat=n):
+            if accepts(nx, w) and not accepts(ny, w):
+                return w
+    return None
+
+
+def _assert_least_counterexample(nx, ny):
+    result = includes(nx, ny)
+    reference = _shortlex_least_difference(nx, ny)
+    if result.holds:
+        assert reference is None
+    elif reference is None:
+        assert len(result.counterexample) > 6
+    else:
+        assert result.counterexample == reference
+
+
+@given(star_terms(max_leaves=6), star_terms(max_leaves=6))
+@settings(max_examples=100, deadline=None)
+def test_counterexample_is_shortlex_least(x, y):
+    # the antichain pruning must keep the shortest, letter-least witness
+    _assert_least_counterexample(compile(x, AB), compile(y, AB))
+
+
+def test_counterexample_is_shortlex_least_plus_family_seeded():
+    for x, y in seeded_term_pairs(seed=5, count=150, max_size=7, plus_family=True):
+        _assert_least_counterexample(compile_plus(x, AB), compile_plus(y, AB))
+
+
+# The n = 12 members of the subset family: the right-hand automaton reaches
+# 2^12 subsets, of which the antichain keeps few.
+SUBSET_12_ANTE = (
+    "(a|b)?, a, (a|b), (a|b), (a|b), (a|b), (a|b), (a|b),"
+    " (a|b), (a|b), (a|b), (a|b), (a|b), (a|b)"
+)
+SUBSET_12_A = (
+    SUBSET_12_ANTE + " |- (a|b)?.a.(a|b).(a|b).(a|b).(a|b).(a|b).(a|b)"
+    ".(a|b).(a|b).(a|b).(a|b).(a|b).(a|b)"
+)
+SUBSET_12_B = (
+    SUBSET_12_ANTE + " |- (a|b)?.b.(a|b).(a|b).(a|b).(a|b).(a|b).(a|b)"
+    ".(a|b).(a|b).(a|b).(a|b).(a|b).(a|b)"
+)
+
+
+@pytest.mark.parametrize("logic", list(LogicId))
+def test_subset_family_holds_within_small_state_cap(logic):
+    # without subsumption the search admits 61,441 product pairs
+    assert decide(logic, parse_sequent(SUBSET_12_A), state_cap=10_000).derivable
+
+
+@pytest.mark.parametrize("logic,length", [(LogicId.KL, 13), (LogicId.KL_PLUS, 14)])
+def test_subset_family_counterexample_within_small_state_cap(logic, length):
+    result = decide(logic, parse_sequent(SUBSET_12_B), state_cap=100)
+    assert not result.derivable
+    assert result.counterexample == ("a",) * length
+
+
 # --- decide -----------------------------------------------------------------
 
 

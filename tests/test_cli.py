@@ -255,6 +255,7 @@ def test_crossval_small_sizes_agree(capsys):
     assert code == 0
     assert "ok" in out
     assert "fragment violations: 3" in out
+    assert "prove-s" in out and "decide-s" in out
 
 
 def test_crossval_json(capsys):
@@ -264,6 +265,8 @@ def test_crossval_json(capsys):
     assert payload["ok"] is True
     assert payload["logics"]["kl"]["disagreements"] == 0
     assert payload["logics"]["kl+"]["disagreements"] == 0
+    for row in payload["logics"].values():
+        assert row["prove_s"] >= 0 and row["decide_s"] >= 0
 
 
 def test_crossval_reports_divergence_from_size_5(capsys):
