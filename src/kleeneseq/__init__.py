@@ -1,50 +1,2 @@
 """kleeneseq: sequent prover and regular-language decision procedure for
 the substructural logics kl and kl+."""
-
-from .calculus import (
-    LogicId,
-    ProofTree,
-    Prover,
-    RuleId,
-    Violation,
-    applicable_rules,
-    check_proof,
-    derivable,
-    flatten_antecedent,
-    prove,
-    render_tree,
-    tree_from_json,
-    tree_to_json,
-)
-from .syntax import (
-    Formula,
-    ParseError,
-    Sequent,
-    parse_formula,
-    parse_sequent,
-    print_formula,
-    print_sequent,
-)
-
-__all__ = [
-    "Formula",
-    "LogicId",
-    "ParseError",
-    "ProofTree",
-    "Prover",
-    "RuleId",
-    "Sequent",
-    "Violation",
-    "applicable_rules",
-    "check_proof",
-    "derivable",
-    "flatten_antecedent",
-    "parse_formula",
-    "parse_sequent",
-    "print_formula",
-    "print_sequent",
-    "prove",
-    "render_tree",
-    "tree_from_json",
-    "tree_to_json",
-]

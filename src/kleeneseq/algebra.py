@@ -11,8 +11,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .calculus import LogicId
-from .syntax import Formula, Fuse, One as FOne, Or, Query, Sequent, Var as FVar, Zero as FZero
+from .syntax import (
+    Formula,
+    Fuse,
+    LogicId,
+    One as FOne,
+    Or,
+    Query,
+    Sequent,
+    Var as FVar,
+    Zero as FZero,
+)
 
 
 class Term:

@@ -31,8 +31,7 @@ from .algebra import (
     is_star_term,
     term_variables,
 )
-from .calculus import LogicId
-from .syntax import Sequent, sequent_variables
+from .syntax import LogicId, Sequent, sequent_variables
 
 DEFAULT_STATE_CAP = 10**6
 

@@ -18,6 +18,7 @@ from enum import Enum
 from .syntax import (
     Formula,
     Fuse,
+    LogicId,
     One,
     Or,
     Query,
@@ -27,11 +28,6 @@ from .syntax import (
     print_sequent,
     subformulas,
 )
-
-
-class LogicId(Enum):
-    KL = "kl"
-    KL_PLUS = "kl+"
 
 
 class RuleId(Enum):

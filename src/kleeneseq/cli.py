@@ -8,30 +8,14 @@ negative one (underivable sequent, failed check, crossval disagreement),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
-from time import perf_counter
 
-from . import algebra, automata, calculus, oracle
-from .calculus import LogicId
-from .syntax import parse_formula, parse_sequent, print_sequent
+from .syntax import LogicId, parse_formula, parse_sequent, print_sequent
+
+# Each command imports the modules it runs, so that a one-query process does
+# not pay to load (and, without cached bytecode, compile) the others.
 
 DEFAULT_CROSSVAL_VARIABLES = frozenset(("a", "b"))
-
-
-@dataclass
-class RunConfig:
-    command: str
-    logic: LogicId
-    input_text: str | None = None
-    fmt: str = "text"
-    allow_cut: bool = False
-    max_size: int = 4
-    max_len: int = 6
-    state_cap: int = automata.DEFAULT_STATE_CAP
-    dot_path: str | None = None
-    translate_map: str | None = None  # "i", "j", or None for interpret
 
 
 def format_word(word: tuple[str, ...]) -> str:
@@ -43,18 +27,22 @@ def format_word(word: tuple[str, ...]) -> str:
 
 
 def _emit_json(payload: object) -> None:
+    import json
+
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
-def _run_decide(config: RunConfig) -> int:
-    s = parse_sequent(config.input_text or "")
-    if config.dot_path:
-        left, right = automata.decision_automata(config.logic, s)
-        with open(config.dot_path, "w", encoding="utf-8") as fh:
+def _run_decide(args: argparse.Namespace, logic: LogicId) -> int:
+    from . import automata
+
+    s = parse_sequent(args.input)
+    if args.dot:
+        left, right = automata.decision_automata(logic, s)
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(automata.to_dot(left, "left") + "\n")
             fh.write(automata.to_dot(right, "right") + "\n")
-    result = automata.decide(config.logic, s, state_cap=config.state_cap)
-    if config.fmt == "json":
+    result = automata.decide(logic, s, state_cap=args.state_cap or automata.DEFAULT_STATE_CAP)
+    if args.format == "json":
         _emit_json(
             {
                 "derivable": result.derivable,
@@ -70,10 +58,12 @@ def _run_decide(config: RunConfig) -> int:
     return 0 if result.derivable else 1
 
 
-def _run_prove(config: RunConfig) -> int:
-    s = parse_sequent(config.input_text or "")
-    tree = calculus.prove(config.logic, s)
-    if config.fmt == "json":
+def _run_prove(args: argparse.Namespace, logic: LogicId) -> int:
+    from . import calculus
+
+    s = parse_sequent(args.input)
+    tree = calculus.Prover(logic).prove(s)
+    if args.format == "json":
         _emit_json(calculus.tree_to_json_dict(tree) if tree else None)
     elif tree is None:
         print("no proof")
@@ -82,10 +72,12 @@ def _run_prove(config: RunConfig) -> int:
     return 0 if tree is not None else 1
 
 
-def _run_check(config: RunConfig) -> int:
-    tree = calculus.tree_from_json(config.input_text or "")
-    violation = calculus.check_proof(config.logic, tree, allow_cut=config.allow_cut)
-    if config.fmt == "json":
+def _run_check(args: argparse.Namespace, logic: LogicId) -> int:
+    from . import calculus
+
+    tree = calculus.tree_from_json(args.input)
+    violation = calculus.check_proof(logic, tree, allow_cut=args.allow_cut)
+    if args.format == "json":
         _emit_json(
             {"ok": violation is None, "violation": str(violation) if violation else None}
         )
@@ -96,23 +88,29 @@ def _run_check(config: RunConfig) -> int:
     return 0 if violation is None else 1
 
 
-def _run_translate(config: RunConfig) -> int:
-    text = config.input_text or ""
-    if config.translate_map == "i":
-        term = algebra.map_i(algebra.parse_star_term(text))
-    elif config.translate_map == "j":
-        term = algebra.map_j(algebra.parse_plus_term(text))
+def _run_translate(args: argparse.Namespace, logic: LogicId) -> int:
+    from . import algebra
+
+    if args.map == "i":
+        term = algebra.map_i(algebra.parse_star_term(args.input))
+    elif args.map == "j":
+        term = algebra.map_j(algebra.parse_plus_term(args.input))
     else:
-        term = algebra.interpret(parse_formula(text), config.logic)
+        term = algebra.interpret(parse_formula(args.input), logic)
     rendered = algebra.print_term(term)
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json({"output": rendered})
     else:
         print(rendered)
     return 0
 
 
-def _run_crossval(config: RunConfig) -> int:
+def _run_crossval(args: argparse.Namespace, logic: LogicId) -> int:
+    from time import perf_counter
+
+    from . import algebra, automata, calculus, oracle
+
+    state_cap = args.state_cap or automata.DEFAULT_STATE_CAP
     stats = {
         logic: {
             "total": 0,
@@ -126,7 +124,7 @@ def _run_crossval(config: RunConfig) -> int:
     }
     fragment_violations = 0
     provers = {logic: calculus.Prover(logic) for logic in LogicId}
-    for s in oracle.enumerate_sequents(DEFAULT_CROSSVAL_VARIABLES, config.max_size):
+    for s in oracle.enumerate_sequents(DEFAULT_CROSSVAL_VARIABLES, args.max_size):
         proved = {}
         for logic in LogicId:
             row = stats[logic]
@@ -134,7 +132,7 @@ def _run_crossval(config: RunConfig) -> int:
             t0 = perf_counter()
             by_search = provers[logic].derivable(s)
             t1 = perf_counter()
-            decision = automata.decide(logic, s, state_cap=config.state_cap)
+            decision = automata.decide(logic, s, state_cap=state_cap)
             row["prove_s"] += t1 - t0
             row["decide_s"] += perf_counter() - t1
             proved[logic] = by_search
@@ -143,13 +141,13 @@ def _run_crossval(config: RunConfig) -> int:
             if by_search != decision.derivable:
                 row["disagreements"] += 1
             lhs, rhs = algebra.interpret_sequent(s, logic)
-            bounded = oracle.bounded_inclusion(lhs, rhs, config.max_len)
+            bounded = oracle.bounded_inclusion(lhs, rhs, args.max_len)
             if decision.derivable and not bounded:
                 row["oracle_mismatches"] += 1
             if (
                 not decision.derivable
                 and decision.counterexample is not None
-                and len(decision.counterexample) <= config.max_len
+                and len(decision.counterexample) <= args.max_len
                 and bounded
             ):
                 row["oracle_mismatches"] += 1
@@ -160,11 +158,11 @@ def _run_crossval(config: RunConfig) -> int:
     bad = sum(
         row["disagreements"] + row["oracle_mismatches"] for row in stats.values()
     )
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
-                "max_size": config.max_size,
-                "max_len": config.max_len,
+                "max_size": args.max_size,
+                "max_len": args.max_len,
                 "logics": {
                     logic.value: stats[logic] for logic in LogicId
                 },
@@ -173,7 +171,7 @@ def _run_crossval(config: RunConfig) -> int:
             }
         )
     else:
-        print(f"cross-validation over {{a, b}} at size <= {config.max_size}:")
+        print(f"cross-validation over {{a, b}} at size <= {args.max_size}:")
         header = (
             f"{'logic':<6} {'total':>7} {'derivable':>10} {'disagree':>9} {'oracle-miss':>12}"
             f" {'prove-s':>8} {'decide-s':>9}"
@@ -200,18 +198,24 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
+def run(args: argparse.Namespace, logic: LogicId) -> int:
+    """Execute one parsed command; returns the process exit status."""
     try:
-        return _RUNNERS[config.command](config)
-    except automata.StateLimitError as e:
+        return _RUNNERS[args.command](args, logic)
+    except RecursionError:  # the parsers, printers and checker recurse on nesting
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except RuntimeError as e:
+        # only the commands that search automata raise StateLimitError, and
+        # they have imported the module by then
+        from .automata import StateLimitError
+
+        if not isinstance(e, StateLimitError):
+            raise
         print(f"resource limit exceeded: {e}", file=sys.stderr)
         return 2
     except ValueError as e:  # covers parse errors and malformed proof JSON
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RecursionError:  # the parsers, printers and checker recurse on nesting
-        print("error: input nested too deeply", file=sys.stderr)
         return 2
     except OSError as e:  # `decide --dot` could not write its file
         print(f"error: {e}", file=sys.stderr)
@@ -246,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="semantic decision via language inclusion")
     add_common(p)
-    p.add_argument("--state-cap", type=_positive_int, default=automata.DEFAULT_STATE_CAP)
+    p.add_argument("--state-cap", type=_positive_int)
     p.add_argument("--dot", metavar="FILE", help="dump the two automata in DOT format")
 
     p = sub.add_parser("prove", help="cut-free backward proof search")
@@ -270,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, with_input=False)
     p.add_argument("--max-size", type=_positive_int, default=4)
     p.add_argument("--max-len", type=_positive_int, default=6)
-    p.add_argument("--state-cap", type=_positive_int, default=automata.DEFAULT_STATE_CAP)
+    p.add_argument("--state-cap", type=_positive_int)
 
     return parser
 
@@ -289,35 +293,20 @@ def main(argv: list[str] | None = None) -> int:
     else:
         logic = LogicId(args.logic)
 
-    input_text: str | None = None
     if args.command != "crossval":
         if args.file is not None and args.input is not None:
             parser.error("give inline input or --file, not both")
         if args.file is not None:
             try:
                 with open(args.file, encoding="utf-8") as fh:
-                    input_text = fh.read()
+                    args.input = fh.read()
             except (OSError, UnicodeDecodeError) as e:
                 print(f"error: {e}", file=sys.stderr)
                 return 2
-        elif args.input is not None:
-            input_text = args.input
-        else:
+        elif args.input is None:
             parser.error("missing input (inline or --file)")
 
-    config = RunConfig(
-        command=args.command,
-        logic=logic,
-        input_text=input_text,
-        fmt=args.format,
-        allow_cut=getattr(args, "allow_cut", False),
-        max_size=getattr(args, "max_size", 4),
-        max_len=getattr(args, "max_len", 6),
-        state_cap=getattr(args, "state_cap", automata.DEFAULT_STATE_CAP),
-        dot_path=getattr(args, "dot", None),
-        translate_map=getattr(args, "map", None),
-    )
-    return run(config)
+    return run(args, logic)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import Dot, One as TOne, Plus, Sharp, Star, Term, Var as TVar, Zero as TZero
-from .calculus import LogicId
-from .syntax import Formula, Fuse, One, Or, Query, Sequent, Var, Zero
+from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Var, Zero
 
 Word = tuple[str, ...]
 

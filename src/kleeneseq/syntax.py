@@ -3,14 +3,21 @@
 Concrete syntax: `|` for disjunction, `.` for fusion, postfix `?`, the
 constants `1` and `0`, variables `[a-z][a-zA-Z0-9_]*`, `|-` as turnstile and
 `,` separating antecedent formulas.  `?` binds tightest, then `.`, then `|`;
-the binary operators associate to the left.
+the binary operators associate to the left.  `LogicId` names the two logics,
+which differ in how `?` is read: as star (kl) or as plus (kl+).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterator
+
+
+class LogicId(Enum):
+    KL = "kl"
+    KL_PLUS = "kl+"
 
 
 class ParseError(ValueError):

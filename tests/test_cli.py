@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +315,59 @@ def test_nonpositive_bounds_are_usage_errors(capsys, argv):
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "decide", "--logic", "kl", "--file", "/nonexistent/q")
     assert code == 2 and "error" in err
+
+
+# --- fresh processes ------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python(*args):
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+# Runs one command, then prints the kleeneseq modules the process has loaded.
+_LOADED_AFTER_MAIN = (
+    "import sys; from kleeneseq.cli import main; main(sys.argv[1:]); "
+    "print(*sorted(n for n in sys.modules if n.startswith('kleeneseq.')))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, runs, not_loaded",
+    [
+        (["decide", "--logic", "kl", "a |- a?"], {"automata"}, {"calculus", "oracle"}),
+        (["prove", "--logic", "kl", "a |- a?"], {"calculus"}, {"algebra", "automata", "oracle"}),
+        (
+            ["check", "--logic", "kl", '{"rule": "Ax", "conclusion": "a |- a", "premises": []}'],
+            {"calculus"},
+            {"algebra", "automata", "oracle"},
+        ),
+        (["translate", "--map", "j", "a^"], {"algebra"}, {"automata", "oracle"}),
+    ],
+)
+def test_command_loads_only_its_modules(argv, runs, not_loaded):
+    done = python("-c", _LOADED_AFTER_MAIN, *argv)
+    assert done.returncode == 0, done.stderr
+    loaded = {n.removeprefix("kleeneseq.") for n in done.stdout.splitlines()[-1].split()}
+    assert runs <= loaded
+    assert not loaded & not_loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["decide", "--logic", "kl", "1 | a.a? |- a?"], 0, "derivable\n"),
+        (["prove", "--logic", "kl", "a |- b"], 1, "no proof\n"),
+        (["decide", "--logic", "kl", "a |-"], 2, ""),
+    ],
+)
+def test_module_entry_point(argv, code, stdout):
+    done = python("-m", "kleeneseq.cli", *argv)
+    assert (done.returncode, done.stdout) == (code, stdout)
