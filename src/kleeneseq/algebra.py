@@ -1,179 +1,70 @@
-"""Algebraic terms with iteration as star or as plus, and the maps between them.
+"""Terms: formulas read in a logic, and the maps between the two readings.
 
-One AST covers both term families: star terms never contain Sharp, plus
-terms never contain Star.  Concrete syntax: `+`, `.`, postfix `*` (star) and
-`^` (plus-iteration), constants `1`/`0`; postfix operators bind tightest,
-then `.`, then `+`.
+A term is a formula together with the logic that reads it.  The logics
+differ only in `?`, which kl reads as star (zero or more passes) and kl+ as
+plus (one or more passes), so terms share the formula AST of `syntax`.
+Concrete term syntax: `+`, `.`, postfix `*` in kl and `^` in kl+,
+constants `1`/`0`; postfix operators bind tightest, then `.`, then `+`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .syntax import (
-    Formula,
-    Fuse,
-    LogicId,
-    One as FOne,
-    Or,
-    Query,
-    Sequent,
-    Var as FVar,
-    Zero as FZero,
-)
+from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Var, Zero
 
 
-class Term:
-    """Base class for term AST nodes. Instances are immutable."""
+class Term(NamedTuple):
+    """A formula read in a logic: `?` is star in kl and plus in kl+."""
 
-
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
-
-
-@dataclass(frozen=True)
-class Zero(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class One(Term):
-    pass
-
-
-@dataclass(frozen=True)
-class Plus(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Dot(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Star(Term):
-    body: Term
-
-
-@dataclass(frozen=True)
-class Sharp(Term):
-    body: Term
-
-
-def term_size(t: Term) -> int:
-    if isinstance(t, (Var, Zero, One)):
-        return 1
-    if isinstance(t, (Star, Sharp)):
-        return 1 + term_size(t.body)
-    if isinstance(t, (Plus, Dot)):
-        return 1 + term_size(t.left) + term_size(t.right)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def term_variables(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, (Zero, One)):
-        return frozenset()
-    if isinstance(t, (Star, Sharp)):
-        return term_variables(t.body)
-    return term_variables(t.left) | term_variables(t.right)
-
-
-def is_star_term(t: Term) -> bool:
-    """True if t belongs to the star family (contains no Sharp)."""
-    if isinstance(t, (Var, Zero, One)):
-        return True
-    if isinstance(t, Star):
-        return is_star_term(t.body)
-    if isinstance(t, (Plus, Dot)):
-        return is_star_term(t.left) and is_star_term(t.right)
-    return False
-
-
-def is_plus_term(t: Term) -> bool:
-    """True if t belongs to the plus family (contains no Star)."""
-    if isinstance(t, (Var, Zero, One)):
-        return True
-    if isinstance(t, Sharp):
-        return is_plus_term(t.body)
-    if isinstance(t, (Plus, Dot)):
-        return is_plus_term(t.left) and is_plus_term(t.right)
-    return False
-
-
-# --- interpretation of formulas ---------------------------------------------
-
-
-def interpret(f: Formula, logic: LogicId) -> Term:
-    """Homomorphic image of a formula with the identity valuation on variables.
-
-    `?` becomes Star under kl and Sharp under kl+; everything else maps
-    one-to-one.
-    """
-    if isinstance(f, FVar):
-        return Var(f.name)
-    if isinstance(f, FZero):
-        return Zero()
-    if isinstance(f, FOne):
-        return One()
-    if isinstance(f, Or):
-        return Plus(interpret(f.left, logic), interpret(f.right, logic))
-    if isinstance(f, Fuse):
-        return Dot(interpret(f.left, logic), interpret(f.right, logic))
-    if isinstance(f, Query):
-        body = interpret(f.body, logic)
-        return Star(body) if logic is LogicId.KL else Sharp(body)
-    raise TypeError(f"not a formula: {f!r}")
+    formula: Formula
+    logic: LogicId
 
 
 def interpret_sequent(s: Sequent, logic: LogicId) -> tuple[Term, Term]:
     """(left, right) terms of a sequent: the antecedent sequence is folded
-    with Dot exactly like fusion, and the empty antecedent is the unit."""
+    with fusion, and the empty antecedent is the unit."""
     if s.antecedent:
-        lhs = interpret(s.antecedent[0], logic)
+        lhs = s.antecedent[0]
         for f in s.antecedent[1:]:
-            lhs = Dot(lhs, interpret(f, logic))
+            lhs = Fuse(lhs, f)
     else:
         lhs = One()
-    return lhs, interpret(s.succedent, logic)
+    return Term(lhs, logic), Term(s.succedent, logic)
 
 
 # --- change of basis between star and plus terms ----------------------------
 
 
+def _map_queries(f: Formula, query: Callable[[Formula], Formula]) -> Formula:
+    """Image of f sending each `?` with mapped body g to query(g),
+    homomorphic elsewhere."""
+    if isinstance(f, Query):
+        return query(_map_queries(f.body, query))
+    if isinstance(f, Or):
+        return Or(_map_queries(f.left, query), _map_queries(f.right, query))
+    if isinstance(f, Fuse):
+        return Fuse(_map_queries(f.left, query), _map_queries(f.right, query))
+    if isinstance(f, (Var, Zero, One)):
+        return f
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def map_i(t: Term) -> Term:
-    """Star-to-plus translation: star terms become plus terms, sending
+    """Star-to-plus translation: a kl term becomes a kl+ term, sending
     x* to 1 + x^ and acting homomorphically elsewhere."""
-    if isinstance(t, (Var, Zero, One)):
-        return t
-    if isinstance(t, Plus):
-        return Plus(map_i(t.left), map_i(t.right))
-    if isinstance(t, Dot):
-        return Dot(map_i(t.left), map_i(t.right))
-    if isinstance(t, Star):
-        return Plus(One(), Sharp(map_i(t.body)))
-    raise TypeError(f"not a star term: {t!r}")
+    if t.logic is not LogicId.KL:
+        raise TypeError(f"not a star term: {t!r}")
+    return Term(_map_queries(t.formula, lambda body: Or(One(), Query(body))), LogicId.KL_PLUS)
 
 
 def map_j(t: Term) -> Term:
-    """Plus-to-star translation: x^ becomes x . x* and the rest is
-    homomorphic."""
-    if isinstance(t, (Var, Zero, One)):
-        return t
-    if isinstance(t, Plus):
-        return Plus(map_j(t.left), map_j(t.right))
-    if isinstance(t, Dot):
-        return Dot(map_j(t.left), map_j(t.right))
-    if isinstance(t, Sharp):
-        body = map_j(t.body)
-        return Dot(body, Star(body))
-    raise TypeError(f"not a plus term: {t!r}")
+    """Plus-to-star translation: a kl+ term becomes a kl term, sending
+    x^ to x . x* and acting homomorphically elsewhere."""
+    if t.logic is not LogicId.KL_PLUS:
+        raise TypeError(f"not a plus term: {t!r}")
+    return Term(_map_queries(t.formula, lambda body: Fuse(body, Query(body))), LogicId.KL)
 
 
 # --- concrete term syntax ----------------------------------------------------
@@ -182,25 +73,25 @@ _PREC_PLUS = 1
 _PREC_DOT = 2
 _PREC_POSTFIX = 3
 
+_POSTFIX = {LogicId.KL: "*", LogicId.KL_PLUS: "^"}
 
-def _fmt(t: Term, min_prec: int) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, One):
+
+def _fmt(f: Formula, min_prec: int, postfix: str) -> str:
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, One):
         return "1"
-    if isinstance(t, Zero):
+    if isinstance(f, Zero):
         return "0"
-    if isinstance(t, Star):
-        return _fmt(t.body, _PREC_POSTFIX) + "*"
-    if isinstance(t, Sharp):
-        return _fmt(t.body, _PREC_POSTFIX) + "^"
-    if isinstance(t, Plus):
+    if isinstance(f, Query):
+        return _fmt(f.body, _PREC_POSTFIX, postfix) + postfix
+    if isinstance(f, Or):
         prec, op = _PREC_PLUS, "+"
-    elif isinstance(t, Dot):
+    elif isinstance(f, Fuse):
         prec, op = _PREC_DOT, "."
     else:
-        raise TypeError(f"not a term: {t!r}")
-    text = _fmt(t.left, prec) + op + _fmt(t.right, prec + 1)
+        raise TypeError(f"not a formula: {f!r}")
+    text = _fmt(f.left, prec, postfix) + op + _fmt(f.right, prec + 1, postfix)
     if prec < min_prec:
         return "(" + text + ")"
     return text
@@ -208,7 +99,7 @@ def _fmt(t: Term, min_prec: int) -> str:
 
 def print_term(t: Term) -> str:
     """Compact rendering (no spaces); the term parsers invert it exactly."""
-    return _fmt(t, 0)
+    return _fmt(t.formula, 0, _POSTFIX[t.logic])
 
 
 class TermParseError(ValueError):
@@ -222,7 +113,7 @@ _TERM_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
 
 class _TermParser:
-    """Recursive-descent parser; `postfix` selects '*' or '^'."""
+    """Recursive-descent parser; `postfix` is '*' or '^'."""
 
     def __init__(self, text: str, postfix: str):
         self.text = text
@@ -241,42 +132,42 @@ class _TermParser:
             return True
         return False
 
-    def term(self) -> Term:
-        t = self.product()
+    def term(self) -> Formula:
+        f = self.product()
         while self._eat("+"):
-            t = Plus(t, self.product())
-        return t
+            f = Or(f, self.product())
+        return f
 
-    def product(self) -> Term:
-        t = self.iterated()
+    def product(self) -> Formula:
+        f = self.iterated()
         while self._eat("."):
-            t = Dot(t, self.iterated())
-        return t
+            f = Fuse(f, self.iterated())
+        return f
 
-    def iterated(self) -> Term:
-        t = self.atom()
+    def iterated(self) -> Formula:
+        f = self.atom()
         while True:
             if self._eat(self.postfix):
-                t = Star(t) if self.postfix == "*" else Sharp(t)
+                f = Query(f)
             elif self.pos < len(self.text) and self.text[self.pos] in "*^":
                 raise TermParseError(
                     f"operator {self.text[self.pos]!r} is not part of this term family",
                     self.pos,
                 )
             else:
-                return t
+                return f
 
-    def atom(self) -> Term:
+    def atom(self) -> Formula:
         if self.pos >= len(self.text):
             raise TermParseError("expected a term, found end of input", self.pos)
         c = self.text[self.pos]
         if c == "(":
             self.pos += 1
             self._skip_ws()
-            t = self.term()
+            f = self.term()
             if not self._eat(")"):
                 raise TermParseError("expected ')'", self.pos)
-            return t
+            return f
         if c == "1" or c == "0":
             self.pos += 1
             self._skip_ws()
@@ -295,21 +186,20 @@ class _TermParser:
             )
 
 
-def parse_star_term(text: str) -> Term:
-    """Parse syntax with `*`; the result contains no Sharp."""
+def _parse_term(text: str, logic: LogicId) -> Term:
     if not text.strip():
         raise TermParseError("empty input", 0)
-    p = _TermParser(text, "*")
-    t = p.term()
+    p = _TermParser(text, _POSTFIX[logic])
+    f = p.term()
     p.finish()
-    return t
+    return Term(f, logic)
+
+
+def parse_star_term(text: str) -> Term:
+    """Parse syntax with `*` into a kl term."""
+    return _parse_term(text, LogicId.KL)
 
 
 def parse_plus_term(text: str) -> Term:
-    """Parse syntax with `^`; the result contains no Star."""
-    if not text.strip():
-        raise TermParseError("empty input", 0)
-    p = _TermParser(text, "^")
-    t = p.term()
-    p.finish()
-    return t
+    """Parse syntax with `^` into a kl+ term."""
+    return _parse_term(text, LogicId.KL_PLUS)

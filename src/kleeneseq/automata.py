@@ -1,14 +1,16 @@
 """Finite automata over variable alphabets and the semantic decision procedure.
 
-Terms compile to position automata (Glushkov 1961; McNaughton and Yamada
-1960): one start state plus one state per letter occurrence, entered only on
-that letter, so there are no epsilon-moves.  Inclusion is checked by a
-breadth-first product of the left automaton with the subsets of
-right-automaton states reachable on the same word, which yields a shortest
-(and letter-order least) counterexample word when inclusion fails.  The
-product is pruned by antichains: a pair whose right subset contains that of
-an earlier pair with the same left state is never explored, which keeps both
-the verdict and that counterexample (see `includes`).
+Terms (formulas read in a logic, see `algebra`) compile to position
+automata (Glushkov 1961; McNaughton and Yamada 1960): one start state plus
+one state per letter occurrence, entered only on that letter, so there are
+no epsilon-moves; the logic decides only whether a `?` is nullable.
+Inclusion is checked by a breadth-first product of the left automaton with
+the subsets of right-automaton states reachable on the same word, which
+yields a shortest (and letter-order least) counterexample word when
+inclusion fails.  The product is pruned by antichains: a pair whose right
+subset contains that of an earlier pair with the same left state is never
+explored, which keeps both the verdict and that counterexample (see
+`includes`).
 """
 
 from __future__ import annotations
@@ -17,21 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import (
-    Dot,
-    One,
-    Plus,
-    Sharp,
-    Star,
-    Term,
-    Var,
-    Zero,
-    interpret_sequent,
-    is_plus_term,
-    is_star_term,
-    term_variables,
-)
-from .syntax import LogicId, Sequent, sequent_variables
+from .algebra import Term, interpret_sequent
+from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Var, Zero, sequent_variables
 
 DEFAULT_STATE_CAP = 10**6
 
@@ -69,51 +58,53 @@ class Nfa:
 # --- compilation -------------------------------------------------------------
 
 
-def _compile_term(t: Term, alphabet: Iterable[str]) -> Nfa:
+def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
     """Position automaton: state 0 starts, state p is the p-th letter
-    occurrence of `t` and is entered only on that letter."""
+    occurrence of `t` and is entered only on that letter.  A `?` iterates
+    its body zero or more times in kl and one or more times in kl+."""
     alpha = frozenset(alphabet)
-    missing = term_variables(t) - alpha
-    if missing:
-        raise ValueError(f"term mentions variables outside the alphabet: {sorted(missing)}")
+    star = t.logic is LogicId.KL
     letters: list[str] = []  # letters[p - 1] labels position p
     transitions: set[tuple[int, str, int]] = set()
 
     def link(sources: Iterable[int], targets: Iterable[int]) -> None:
         transitions.update((p, letters[q - 1], q) for p in sources for q in targets)
 
-    def walk(t: Term) -> tuple[bool, frozenset[int], frozenset[int]]:
-        """(nullable, first, last) of `t`; links the positions that follow
-        one another inside `t`."""
-        if isinstance(t, Zero):
+    def walk(f: Formula) -> tuple[bool, frozenset[int], frozenset[int]]:
+        """(nullable, first, last) of `f`; links the positions that follow
+        one another inside `f`."""
+        if isinstance(f, Zero):
             return False, frozenset(), frozenset()
-        if isinstance(t, One):
+        if isinstance(f, One):
             return True, frozenset(), frozenset()
-        if isinstance(t, Var):
-            letters.append(t.name)
+        if isinstance(f, Var):
+            letters.append(f.name)
             here = frozenset((len(letters),))
             return False, here, here
-        if isinstance(t, Plus):
-            lnull, lfirst, llast = walk(t.left)
-            rnull, rfirst, rlast = walk(t.right)
+        if isinstance(f, Or):
+            lnull, lfirst, llast = walk(f.left)
+            rnull, rfirst, rlast = walk(f.right)
             return lnull or rnull, lfirst | rfirst, llast | rlast
-        if isinstance(t, Dot):
-            lnull, lfirst, llast = walk(t.left)
-            rnull, rfirst, rlast = walk(t.right)
+        if isinstance(f, Fuse):
+            lnull, lfirst, llast = walk(f.left)
+            rnull, rfirst, rlast = walk(f.right)
             link(llast, rfirst)
             return (
                 lnull and rnull,
                 lfirst | rfirst if lnull else lfirst,
                 llast | rlast if rnull else rlast,
             )
-        if isinstance(t, (Star, Sharp)):
-            # Sharp is Star without the empty pass
-            null, first, last = walk(t.body)
+        if isinstance(f, Query):
+            # plus is star without the empty pass
+            null, first, last = walk(f.body)
             link(last, first)
-            return null or isinstance(t, Star), first, last
-        raise TypeError(f"not a term: {t!r}")
+            return null or star, first, last
+        raise TypeError(f"not a formula: {f!r}")
 
-    nullable, first, last = walk(t)
+    nullable, first, last = walk(t.formula)
+    missing = set(letters) - alpha
+    if missing:
+        raise ValueError(f"term mentions variables outside the alphabet: {sorted(missing)}")
     link((0,), first)
     return Nfa(
         states=frozenset(range(len(letters) + 1)),
@@ -122,20 +113,6 @@ def _compile_term(t: Term, alphabet: Iterable[str]) -> Nfa:
         start=0,
         accepting=last | {0} if nullable else last,
     )
-
-
-def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
-    """Automaton for a star term: iteration means zero or more passes."""
-    if not is_star_term(t):
-        raise TypeError("expected a star term (no '^' operator)")
-    return _compile_term(t, alphabet)
-
-
-def compile_plus(t: Term, alphabet: Iterable[str]) -> Nfa:
-    """Automaton for a plus term: iteration means one or more passes."""
-    if not is_plus_term(t):
-        raise TypeError("expected a plus term (no '*' operator)")
-    return _compile_term(t, alphabet)
 
 
 # --- simulation ---------------------------------------------------------------
@@ -279,10 +256,8 @@ def decide(logic: LogicId, s: Sequent, state_cap: int = DEFAULT_STATE_CAP) -> De
 def decision_automata(logic: LogicId, s: Sequent) -> tuple[Nfa, Nfa]:
     """The two automata `decide` compares, for inspection/dumping."""
     lhs, rhs = interpret_sequent(s, logic)
-    alphabet = frozenset(sequent_variables(s))
-    if logic is LogicId.KL:
-        return compile(lhs, alphabet), compile(rhs, alphabet)
-    return compile_plus(lhs, alphabet), compile_plus(rhs, alphabet)
+    alphabet = sequent_variables(s)
+    return compile(lhs, alphabet), compile(rhs, alphabet)
 
 
 def to_dot(nfa: Nfa, name: str = "nfa") -> str:

@@ -465,38 +465,6 @@ class Prover:
         raise AssertionError(f"no justification recorded for {print_sequent(s)}")
 
 
-_default_provers: dict[LogicId, Prover] = {}
-
-
-def _default_prover(logic: LogicId) -> Prover:
-    prover = _default_provers.get(logic)
-    if prover is None:
-        prover = _default_provers[logic] = Prover(logic)
-    return prover
-
-
-def derivable(logic: LogicId, goal: Sequent) -> bool:
-    """Shared-table convenience wrapper around Prover.derivable."""
-    return _default_prover(logic).derivable(goal)
-
-
-def prove(logic: LogicId, goal: Sequent) -> ProofTree | None:
-    """Cut-free proof of `goal` in `logic`, or None when there is none.
-    Results check cleanly: check_proof(logic, tree, allow_cut=False) is ok."""
-    return _default_prover(logic).prove(goal)
-
-
-def flatten_antecedent(s: Sequent) -> Sequent:
-    """Fuse the antecedent into a single formula (empty antecedent becomes
-    `1`); derivability-equivalent to the input in both logics."""
-    if not s.antecedent:
-        return Sequent((One(),), s.succedent)
-    f = s.antecedent[0]
-    for g in s.antecedent[1:]:
-        f = Fuse(f, g)
-    return Sequent((f,), s.succedent)
-
-
 def goal_subformulas(goal: Sequent) -> frozenset[Formula]:
     """Subformula closure of a sequent; every sequent backward search can
     reach from `goal` draws its formulas from this set."""

@@ -33,9 +33,9 @@ def _emit_json(payload: object) -> None:
 
 
 def _run_decide(args: argparse.Namespace, logic: LogicId) -> int:
-    from . import automata
-
     s = parse_sequent(args.input)
+    from . import automata  # after parsing, so malformed input loads nothing more
+
     if args.dot:
         left, right = automata.decision_automata(logic, s)
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -96,7 +96,7 @@ def _run_translate(args: argparse.Namespace, logic: LogicId) -> int:
     elif args.map == "j":
         term = algebra.map_j(algebra.parse_plus_term(args.input))
     else:
-        term = algebra.interpret(parse_formula(args.input), logic)
+        term = algebra.Term(parse_formula(args.input), logic)
     rendered = algebra.print_term(term)
     if args.format == "json":
         _emit_json({"output": rendered})

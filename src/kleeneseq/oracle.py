@@ -1,9 +1,11 @@
 """Independent brute-force ground truth for the automata and the prover.
 
 Everything here is deliberately naive: languages are enumerated word by
-word, sequents are generated exhaustively by size, and the depth-bounded
-search below re-states the inference rules in a second, plain-loop form so
-discrepancies with the calculus module point at real transcription bugs.
+word from a term's formula, reading `?` as its logic says and using none of
+the automata; sequents are generated exhaustively by size, and the
+depth-bounded search below re-states the inference rules in a second,
+plain-loop form so discrepancies with the calculus module point at real
+transcription bugs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .algebra import Dot, One as TOne, Plus, Sharp, Star, Term, Var as TVar, Zero as TZero
+from .algebra import Term
 from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Var, Zero
 
 Word = tuple[str, ...]
@@ -47,23 +49,23 @@ def _star_words(base: set[Word], max_len: int) -> set[Word]:
         acc |= grown
 
 
-def _words(t: Term, max_len: int) -> set[Word]:
-    if isinstance(t, TVar):
-        return {(t.name,)} if max_len >= 1 else set()
-    if isinstance(t, TZero):
+def _words(f: Formula, logic: LogicId, max_len: int) -> set[Word]:
+    if isinstance(f, Var):
+        return {(f.name,)} if max_len >= 1 else set()
+    if isinstance(f, Zero):
         return set()
-    if isinstance(t, TOne):
+    if isinstance(f, One):
         return {()}
-    if isinstance(t, Plus):
-        return _words(t.left, max_len) | _words(t.right, max_len)
-    if isinstance(t, Dot):
-        return _concat(_words(t.left, max_len), _words(t.right, max_len), max_len)
-    if isinstance(t, Star):
-        return _star_words(_words(t.body, max_len), max_len)
-    if isinstance(t, Sharp):
-        base = _words(t.body, max_len)
+    if isinstance(f, Or):
+        return _words(f.left, logic, max_len) | _words(f.right, logic, max_len)
+    if isinstance(f, Fuse):
+        return _concat(_words(f.left, logic, max_len), _words(f.right, logic, max_len), max_len)
+    if isinstance(f, Query):
+        base = _words(f.body, logic, max_len)
+        if logic is LogicId.KL:
+            return _star_words(base, max_len)
         return _concat(base, _star_words(base, max_len), max_len)
-    raise TypeError(f"not a term: {t!r}")
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def enumerate_language(t: Term, max_len: int) -> BoundedLanguage:
@@ -71,13 +73,13 @@ def enumerate_language(t: Term, max_len: int) -> BoundedLanguage:
     with truncated concatenation and iteration to a fixpoint."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    return BoundedLanguage(max_len, frozenset(_words(t, max_len)))
+    return BoundedLanguage(max_len, frozenset(_words(t.formula, t.logic, max_len)))
 
 
 def bounded_inclusion(x: Term, y: Term, max_len: int) -> bool:
     """Necessary (not sufficient) condition for language inclusion; used to
     cross-check the automata, never as the decision itself."""
-    return _words(x, max_len) <= _words(y, max_len)
+    return _words(x.formula, x.logic, max_len) <= _words(y.formula, y.logic, max_len)
 
 
 # --- exhaustive sequent generation -------------------------------------------

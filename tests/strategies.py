@@ -1,4 +1,7 @@
-"""Hypothesis strategies and a seeded term generator shared by the tests."""
+"""Hypothesis strategies and a seeded term generator shared by the tests.
+
+A term is a formula read in a logic, so the term strategies are the formula
+strategies with the logic attached."""
 
 from __future__ import annotations
 
@@ -9,7 +12,6 @@ from hypothesis import strategies as st
 from kleeneseq import algebra, syntax
 
 ATOMS = [syntax.Var("a"), syntax.Var("b"), syntax.One(), syntax.Zero()]
-TERM_ATOMS = [algebra.Var("a"), algebra.Var("b"), algebra.One(), algebra.Zero()]
 
 
 def formulas(max_leaves: int = 8) -> st.SearchStrategy[syntax.Formula]:
@@ -33,53 +35,37 @@ def sequents(max_antecedent: int = 3, max_leaves: int = 5) -> st.SearchStrategy[
 
 
 def star_terms(max_leaves: int = 8) -> st.SearchStrategy[algebra.Term]:
-    return st.recursive(
-        st.sampled_from(TERM_ATOMS),
-        lambda inner: st.one_of(
-            st.builds(algebra.Star, inner),
-            st.builds(algebra.Plus, inner, inner),
-            st.builds(algebra.Dot, inner, inner),
-        ),
-        max_leaves=max_leaves,
-    )
+    return formulas(max_leaves).map(lambda f: algebra.Term(f, syntax.LogicId.KL))
 
 
 def plus_terms(max_leaves: int = 8) -> st.SearchStrategy[algebra.Term]:
-    return st.recursive(
-        st.sampled_from(TERM_ATOMS),
-        lambda inner: st.one_of(
-            st.builds(algebra.Sharp, inner),
-            st.builds(algebra.Plus, inner, inner),
-            st.builds(algebra.Dot, inner, inner),
-        ),
-        max_leaves=max_leaves,
-    )
+    return formulas(max_leaves).map(lambda f: algebra.Term(f, syntax.LogicId.KL_PLUS))
 
 
-def seeded_term(rng: random.Random, size: int, plus_family: bool) -> algebra.Term:
-    """Deterministic random term with exactly `size` AST nodes."""
+def seeded_formula(rng: random.Random, size: int) -> syntax.Formula:
+    """Deterministic random formula with exactly `size` AST nodes."""
     if size <= 1:
-        return rng.choice(TERM_ATOMS)
+        return rng.choice(ATOMS)
     if size == 2 or rng.random() < 0.3:
-        body = seeded_term(rng, size - 1, plus_family)
-        return algebra.Sharp(body) if plus_family else algebra.Star(body)
+        return syntax.Query(seeded_formula(rng, size - 1))
     left_size = rng.randint(1, size - 2)
-    left = seeded_term(rng, left_size, plus_family)
-    right = seeded_term(rng, size - 1 - left_size, plus_family)
-    op = rng.choice((algebra.Plus, algebra.Dot))
+    left = seeded_formula(rng, left_size)
+    right = seeded_formula(rng, size - 1 - left_size)
+    op = rng.choice((syntax.Or, syntax.Fuse))
     return op(left, right)
 
 
 def seeded_term_pairs(
     seed: int, count: int, max_size: int, plus_family: bool
 ) -> list[tuple[algebra.Term, algebra.Term]]:
+    logic = syntax.LogicId.KL_PLUS if plus_family else syntax.LogicId.KL
     rng = random.Random(seed)
     pairs = []
     for _ in range(count):
         pairs.append(
             (
-                seeded_term(rng, rng.randint(1, max_size), plus_family),
-                seeded_term(rng, rng.randint(1, max_size), plus_family),
+                algebra.Term(seeded_formula(rng, rng.randint(1, max_size)), logic),
+                algebra.Term(seeded_formula(rng, rng.randint(1, max_size)), logic),
             )
         )
     return pairs

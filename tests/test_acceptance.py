@@ -16,9 +16,18 @@ import pytest
 
 from kleeneseq import algebra as alg
 from kleeneseq import oracle
-from kleeneseq.automata import accepts, compile, compile_plus, decide, equivalent, includes
-from kleeneseq.calculus import LogicId, Prover, check_proof, prove
-from kleeneseq.syntax import Formula, Fuse, Or, Query, Sequent, parse_sequent, print_sequent
+from kleeneseq.automata import accepts, compile, decide, equivalent, includes
+from kleeneseq.calculus import LogicId, Prover, check_proof
+from kleeneseq.syntax import (
+    Formula,
+    Fuse,
+    Or,
+    Query,
+    Sequent,
+    formula_size,
+    parse_sequent,
+    print_sequent,
+)
 from cut_corpus import CORPUS
 from strategies import seeded_term_pairs
 
@@ -130,7 +139,7 @@ def test_c2_fragment_property(enumeration_results, j_verdicts):
     lift_mismatches = [
         f
         for f in formulas
-        if alg.interpret(j_formula(f), KL) != alg.map_j(alg.interpret(f, KLP))
+        if alg.Term(j_formula(f), KL) != alg.map_j(alg.Term(f, KLP))
     ]
     violations = [s for s, proved in j_verdicts.items() if not proved]
     plain = [s for s, pk, pp, _, _ in rows if pp and not pk]
@@ -166,17 +175,17 @@ def test_c3_translation_maps():
     violations = []
     for x, y in star_pairs:
         ix, iy = alg.map_i(x), alg.map_i(y)
-        if not equivalent(compile_plus(ix, AB), compile(x, AB)):
+        if not equivalent(compile(ix, AB), compile(x, AB)):
             violations.append(("i-language", x))
         forward = includes(compile(x, AB), compile(y, AB)).holds
-        translated = includes(compile_plus(ix, AB), compile_plus(iy, AB)).holds
+        translated = includes(compile(ix, AB), compile(iy, AB)).holds
         if forward != translated:
             violations.append(("i-order", x, y))
     for x, y in plus_pairs:
         jx, jy = alg.map_j(x), alg.map_j(y)
-        if not equivalent(compile(jx, AB), compile_plus(x, AB)):
+        if not equivalent(compile(jx, AB), compile(x, AB)):
             violations.append(("j-language", x))
-        forward = includes(compile_plus(x, AB), compile_plus(y, AB)).holds
+        forward = includes(compile(x, AB), compile(y, AB)).holds
         translated = includes(compile(jx, AB), compile(jy, AB)).holds
         if forward != translated:
             violations.append(("j-order", x, y))
@@ -204,7 +213,7 @@ def test_c4_named_sequents():
     failures = []
     for logic, text, expected, cex in NAMED_SEQUENTS:
         s = parse_sequent(text)
-        tree = prove(logic, s)
+        tree = Prover(logic).prove(s)
         decision = decide(logic, s)
         if (tree is not None) != expected or decision.derivable != expected:
             failures.append(text)
@@ -233,7 +242,7 @@ def test_c5_cut_corpus():
         if violation is not None:
             failures.append(f"#{i} fails checking: {violation}")
             continue
-        cut_free = prove(logic, tree.conclusion)
+        cut_free = Prover(logic).prove(tree.conclusion)
         if cut_free is None:
             failures.append(f"#{i} conclusion has no cut-free proof")
         elif check_proof(logic, cut_free) is not None:
@@ -256,9 +265,9 @@ def test_c6_automata_vs_enumeration_oracle():
     violations = []
     star_pairs = seeded_term_pairs(seed=4401, count=500, max_size=8, plus_family=False)
     plus_pairs = seeded_term_pairs(seed=4402, count=500, max_size=8, plus_family=True)
-    for pairs, build in ((star_pairs, compile), (plus_pairs, compile_plus)):
+    for pairs in (star_pairs, plus_pairs):
         for x, y in pairs:
-            nx, ny = build(x, AB), build(y, AB)
+            nx, ny = compile(x, AB), compile(y, AB)
             result = includes(nx, ny)
             bounded = oracle.bounded_inclusion(x, y, max_len)
             if result.holds and not bounded:
@@ -293,7 +302,7 @@ def test_c7_performance_floor():
     for text in texts:
         s = parse_sequent(text)
         lhs, rhs = alg.interpret_sequent(s, KL)
-        size = alg.term_size(lhs) + alg.term_size(rhs)
+        size = formula_size(lhs.formula) + formula_size(rhs.formula)
         sizes.append(size)
         assert size <= 50
         for logic in (KL, KLP):

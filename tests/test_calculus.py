@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from kleeneseq import automata, oracle
+from kleeneseq.algebra import interpret_sequent
 from kleeneseq.calculus import (
     LogicId,
     ProofTree,
@@ -11,16 +12,13 @@ from kleeneseq.calculus import (
     RuleId,
     applicable_rules,
     check_proof,
-    derivable,
-    flatten_antecedent,
     goal_subformulas,
-    prove,
     render_tree,
     tree_from_json,
     tree_to_json,
     tree_to_json_dict,
 )
-from kleeneseq.syntax import parse_sequent, print_sequent, sequent_size
+from kleeneseq.syntax import Sequent, parse_sequent, print_sequent, sequent_size
 from strategies import sequents
 
 KL, KLP = LogicId.KL, LogicId.KL_PLUS
@@ -264,26 +262,28 @@ def test_cut_instance_with_context():
 )
 def test_prove_examples(logic, text, expected):
     goal = parse_sequent(text)
-    tree = prove(logic, goal)
+    prover = Prover(logic)
+    tree = prover.prove(goal)
     assert (tree is not None) == expected
-    assert derivable(logic, goal) == expected
+    assert prover.derivable(goal) == expected
     if tree is not None:
         assert tree.conclusion == goal
         assert check_proof(logic, tree, allow_cut=False) is None
 
 
 def test_prove_prefers_small_proofs():
-    tree = prove(KLP, parse_sequent("a |- a?"))
+    tree = Prover(KLP).prove(parse_sequent("a |- a?"))
     assert tree.rule is RuleId.PLUS_Q
     assert tree.premises[0].rule is RuleId.AX
-    assert prove(KL, parse_sequent("a |- a")).rule is RuleId.AX
+    assert Prover(KL).prove(parse_sequent("a |- a")).rule is RuleId.AX
 
 
 def test_fresh_prover_matches_shared_one():
+    # one Prover answering every query, against a fresh Prover per query
     prover = Prover(KL)
     for text in ("a |- a", "|- a?", "a? |- a", "a, b |- a . b"):
         s = parse_sequent(text)
-        assert prover.derivable(s) == derivable(KL, s)
+        assert prover.derivable(s) == Prover(KL).derivable(s)
 
 
 def test_prover_answers_are_order_independent():
@@ -332,7 +332,7 @@ def test_interior_empty_query_gap():
     is derivable.  This is the one known divergence between prove and decide."""
     s = parse_sequent("a, 0?, a |- a")
     assert automata.decide(KLP, s).derivable
-    assert prove(KLP, s) is None
+    assert Prover(KLP).prove(s) is None
     assert not oracle.brute_prove(KLP, s, 16)
     with_cut = node(
         RuleId.CUT,
@@ -348,43 +348,33 @@ def test_interior_empty_query_gap():
     assert check_proof(KLP, with_cut, allow_cut=True) is None
     # kl has no such gap: there the sequent is semantically underivable too
     assert not automata.decide(KL, s).derivable
-    assert prove(KL, s) is None
+    assert Prover(KL).prove(s) is None
 
 
 def test_query_of_zero_separates_the_logics():
     """0? means "no iterations" under star but "at least one failing pass"
     under plus, so "0? |- a" holds only in kl+ and "0? |- 1" only in kl."""
     s = parse_sequent("0? |- a")
-    assert prove(KLP, s) is not None
+    assert Prover(KLP).prove(s) is not None
     assert automata.decide(KLP, s).derivable
-    assert prove(KL, s) is None
+    assert Prover(KL).prove(s) is None
     assert not automata.decide(KL, s).derivable
     t = parse_sequent("0? |- 1")
-    assert prove(KL, t) is not None
-    assert prove(KLP, t) is not None  # empty language is below everything
+    assert Prover(KL).prove(t) is not None
+    assert Prover(KLP).prove(t) is not None  # empty language is below everything
 
 
 # --- flattening -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "text,expected",
-    [
-        ("a, b, c |- d", "a . b . c |- d"),
-        ("|- d", "1 |- d"),
-        ("a |- d", "a |- d"),
-    ],
-)
-def test_flatten_antecedent(text, expected):
-    assert flatten_antecedent(parse_sequent(text)) == parse_sequent(expected)
-
-
 def test_flatten_preserves_derivability_small():
+    # the antecedent folded into one formula, as decide reads it
     for logic in (KL, KLP):
         prover = Prover(logic)
         for names, bound in (({"a"}, 4), ({"a", "b"}, 3)):
             for s in oracle.enumerate_sequents(names, bound):
-                assert prover.derivable(s) == prover.derivable(flatten_antecedent(s)), (
+                flat = Sequent((interpret_sequent(s, logic)[0].formula,), s.succedent)
+                assert prover.derivable(s) == prover.derivable(flat), (
                     logic,
                     print_sequent(s),
                 )
@@ -394,7 +384,7 @@ def test_flatten_preserves_derivability_small():
 
 
 def test_tree_json_round_trip():
-    tree = prove(KL, parse_sequent("1 | a.a? |- a?"))
+    tree = Prover(KL).prove(parse_sequent("1 | a.a? |- a?"))
     text = tree_to_json(tree)
     loaded = tree_from_json(text)
     assert check_proof(KL, loaded) is None
@@ -456,4 +446,4 @@ def test_cut_conclusions_reprove_cut_free_in_kl():
         ),
     )
     assert check_proof(KL, composite, allow_cut=True) is None
-    assert prove(KL, composite.conclusion) is not None
+    assert Prover(KL).prove(composite.conclusion) is not None

@@ -160,7 +160,7 @@ def _cut_tree_json():
 def test_check_valid_tree(capsys, tmp_path):
     path = tmp_path / "proof.json"
     path.write_text(
-        calculus.tree_to_json(calculus.prove(LogicId.KL, parse_sequent("a, b |- a . b"))),
+        calculus.tree_to_json(calculus.Prover(LogicId.KL).prove(parse_sequent("a, b |- a . b"))),
         encoding="utf-8",
     )
     code, out, _ = run(capsys, "check", "--logic", "kl", "--file", str(path))
@@ -350,6 +350,12 @@ _LOADED_AFTER_MAIN = (
             {"algebra", "automata", "oracle"},
         ),
         (["translate", "--map", "j", "a^"], {"algebra"}, {"automata", "oracle"}),
+        # a malformed query exits 2 before loading what deciding needs
+        (
+            ["decide", "--logic", "kl", "a |-"],
+            {"syntax"},
+            {"algebra", "automata", "calculus", "oracle"},
+        ),
     ],
 )
 def test_command_loads_only_its_modules(argv, runs, not_loaded):

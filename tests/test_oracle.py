@@ -14,7 +14,7 @@ from kleeneseq.oracle import (
 )
 from kleeneseq.syntax import parse_sequent, print_sequent, sequent_size
 
-a, b, c = alg.Var("a"), alg.Var("b"), alg.Var("c")
+star, plus = alg.parse_star_term, alg.parse_plus_term
 KL, KLP = LogicId.KL, LogicId.KL_PLUS
 
 
@@ -23,46 +23,46 @@ def words(term, max_len):
 
 
 def test_enumerate_star():
-    lang = enumerate_language(alg.Star(a), 3)
+    lang = enumerate_language(star("a*"), 3)
     assert isinstance(lang, BoundedLanguage)
     assert lang.max_len == 3
-    assert words(alg.Star(a), 3) == {"", "a", "aa", "aaa"}
+    assert words(star("a*"), 3) == {"", "a", "aa", "aaa"}
 
 
 def test_enumerate_sharp_has_no_epsilon():
-    assert words(alg.Sharp(a), 3) == {"a", "aa", "aaa"}
+    assert words(plus("a^"), 3) == {"a", "aa", "aaa"}
 
 
 def test_enumerate_concat_distributes():
-    assert words(alg.Dot(a, alg.Plus(b, c)), 2) == {"ab", "ac"}
+    assert words(star("a.(b+c)"), 2) == {"ab", "ac"}
 
 
 def test_enumerate_zero_and_one():
-    assert words(alg.Zero(), 5) == set()
-    assert words(alg.Star(alg.Zero()), 5) == {""}
-    assert words(alg.Sharp(alg.Zero()), 5) == set()
-    assert words(alg.One(), 0) == {""}
+    assert words(star("0"), 5) == set()
+    assert words(star("0*"), 5) == {""}
+    assert words(plus("0^"), 5) == set()
+    assert words(star("1"), 0) == {""}
 
 
 def test_enumerate_respects_bound():
-    lang = enumerate_language(alg.Star(alg.Dot(a, b)), 5)
+    lang = enumerate_language(star("(a.b)*"), 5)
     assert all(len(w) <= 5 for w in lang.words)
     assert ("a", "b", "a", "b") in lang.words
 
 
 def test_enumerate_rejects_negative_bound():
     with pytest.raises(ValueError):
-        enumerate_language(a, -1)
+        enumerate_language(star("a"), -1)
 
 
 @pytest.mark.parametrize(
     "x,y,max_len,expected",
     [
-        (alg.Dot(a, a), alg.Star(a), 4, True),
-        (alg.Star(a), a, 2, False),
-        (alg.Zero(), alg.Zero(), 5, True),
-        (alg.Sharp(a), alg.Star(a), 6, True),
-        (alg.Star(a), alg.Sharp(a), 6, False),
+        (star("a.a"), star("a*"), 4, True),
+        (star("a*"), star("a"), 2, False),
+        (star("0"), star("0"), 5, True),
+        (plus("a^"), star("a*"), 6, True),
+        (star("a*"), plus("a^"), 6, False),
     ],
 )
 def test_bounded_inclusion(x, y, max_len, expected):
