@@ -4,6 +4,11 @@ Terms (formulas read in a logic, see `algebra`) compile to position
 automata (Glushkov 1961; McNaughton and Yamada 1960): one start state plus
 one state per letter occurrence, entered only on that letter, so there are
 no epsilon-moves; the logic decides only whether a `?` is nullable.
+Because every state is entered on one letter, an automaton is stored as bit
+sets (see `Nfa`): one int per state for its successors and one for the
+accepting states, and a set of states is an int too.  Compilation ORs these
+masks together, and a step of a set of states on a letter is an OR of
+successor masks and one AND.
 Inclusion is checked by a breadth-first product of the left automaton with
 the subsets of right-automaton states reachable on the same word, which
 yields a shortest (and letter-order least) counterexample word when
@@ -16,7 +21,7 @@ explored, which keeps both the verdict and that counterexample (see
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .algebra import Term, interpret_sequent
@@ -35,24 +40,89 @@ class StateLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Nfa:
-    """Nondeterministic automaton; every label is a letter of the alphabet."""
+    """Position automaton over `alphabet`, stored as bit sets.
 
-    states: frozenset[int]
+    State 0 starts; state p > 0 is entered only on `letters[p - 1]`, so a
+    state's letter is a property of the state, not of its incoming edges.
+    Bit q of `follow[p]` is the edge p -> q (on `letters[q - 1]`), and bit q
+    of `accept` makes q accepting.  `entered_on[x]` is the mask of the states
+    entered on x, so the x-successors of a set S of states are the OR of
+    `follow[p]` over p in S, ANDed with `entered_on[x]`.
+
+    `includes` discovers pairs in shortlex order of their words because it
+    is breadth-first and takes letters in sorted order; that is all its
+    pruning argument needs, since pairs reached on one word have the same
+    word whatever their order.  It takes the states of a mask in ascending
+    bit order, i.e. ascending state number, which fixes that order too, so
+    the pairs admitted and the count `state_cap` bounds are those of a
+    search over sorted state numbers.
+
+    `states`, `start`, `accepting` and `transitions` give the same automaton
+    as sets, for inspection and rendering.
+    """
+
     alphabet: frozenset[str]
-    transitions: frozenset[tuple[int, str, int]]
-    start: int
-    accepting: frozenset[int]
+    letters: tuple[str, ...]
+    follow: tuple[int, ...]
+    accept: int
+    entered_on: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.start not in self.states:
-            raise ValueError("start state missing from state set")
-        if not self.accepting <= self.states:
-            raise ValueError("accepting states missing from state set")
-        for src, label, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
-                raise ValueError("transition endpoint missing from state set")
-            if label not in self.alphabet:
-                raise ValueError(f"transition label {label!r} missing from alphabet")
+        n = len(self.letters) + 1
+        if len(self.follow) != n:
+            raise ValueError(f"{len(self.follow)} successor masks for {n} states")
+        entered_on = dict.fromkeys(self.alphabet, 0)
+        for p, letter in enumerate(self.letters, 1):
+            if letter not in entered_on:
+                raise ValueError(f"state {p} letter {letter!r} missing from alphabet")
+            entered_on[letter] |= 1 << p
+        limit = 1 << n
+        for p, succ in enumerate(self.follow):
+            if not 0 <= succ < limit:
+                raise ValueError(f"state {p} has a successor past the last state")
+            if succ & 1:
+                raise ValueError(f"state {p} has an edge into the start state")
+        if not 0 <= self.accept < limit:
+            raise ValueError("accepting state past the last state")
+        object.__setattr__(self, "entered_on", entered_on)
+
+    # neither `compile` nor the inclusion search reads the set views
+
+    @property
+    def states(self) -> frozenset[int]:
+        return frozenset(range(len(self.follow)))
+
+    @property
+    def start(self) -> int:
+        return 0
+
+    @property
+    def accepting(self) -> frozenset[int]:
+        return frozenset(_bits(self.accept))
+
+    @property
+    def transitions(self) -> frozenset[tuple[int, str, int]]:
+        return frozenset(
+            (p, self.letters[q - 1], q) for p, succ in enumerate(self.follow) for q in _bits(succ)
+        )
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of `mask`, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _successors(follow: tuple[int, ...], mask: int) -> int:
+    """The OR of `follow[p]` over the states p in `mask`."""
+    succ = 0
+    for p in _bits(mask):
+        succ |= follow[p]
+    return succ
 
 
 # --- compilation -------------------------------------------------------------
@@ -65,21 +135,24 @@ def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
     alpha = frozenset(alphabet)
     star = t.logic is LogicId.KL
     letters: list[str] = []  # letters[p - 1] labels position p
-    transitions: set[tuple[int, str, int]] = set()
+    follow: list[int] = [0]  # bit q of follow[p]: q may follow p
 
-    def link(sources: Iterable[int], targets: Iterable[int]) -> None:
-        transitions.update((p, letters[q - 1], q) for p in sources for q in targets)
+    def link(last: int, first: int) -> None:
+        if first:
+            for p in _bits(last):
+                follow[p] |= first
 
-    def walk(f: Formula) -> tuple[bool, frozenset[int], frozenset[int]]:
-        """(nullable, first, last) of `f`; links the positions that follow
-        one another inside `f`."""
+    def walk(f: Formula) -> tuple[bool, int, int]:
+        """(nullable, first, last) of `f`, as masks of positions; links the
+        positions that follow one another inside `f`."""
         if isinstance(f, Zero):
-            return False, frozenset(), frozenset()
+            return False, 0, 0
         if isinstance(f, One):
-            return True, frozenset(), frozenset()
+            return True, 0, 0
         if isinstance(f, Var):
             letters.append(f.name)
-            here = frozenset((len(letters),))
+            follow.append(0)
+            here = 1 << len(letters)
             return False, here, here
         if isinstance(f, Or):
             lnull, lfirst, llast = walk(f.left)
@@ -105,42 +178,21 @@ def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
     missing = set(letters) - alpha
     if missing:
         raise ValueError(f"term mentions variables outside the alphabet: {sorted(missing)}")
-    link((0,), first)
-    return Nfa(
-        states=frozenset(range(len(letters) + 1)),
-        alphabet=alpha,
-        transitions=frozenset(transitions),
-        start=0,
-        accepting=last | {0} if nullable else last,
-    )
+    follow[0] = first
+    return Nfa(alpha, tuple(letters), tuple(follow), last | 1 if nullable else last)
 
 
 # --- simulation ---------------------------------------------------------------
 
 
-_NO_MOVES: frozenset[int] = frozenset()
-
-
-def _moves(nfa: Nfa) -> dict[int, dict[str, set[int]]]:
-    """Successor sets per state and letter."""
-    moves: dict[int, dict[str, set[int]]] = {q: {} for q in nfa.states}
-    for src, label, dst in nfa.transitions:
-        moves[src].setdefault(label, set()).add(dst)
-    return moves
-
-
 def accepts(nfa: Nfa, word: Iterable[str]) -> bool:
     """Direct membership check (used to re-verify counterexamples)."""
-    moves = _moves(nfa)
-    current = {nfa.start}
+    current = 1
     for letter in word:
-        nxt: set[int] = set()
-        for q in current:
-            nxt |= moves[q].get(letter, _NO_MOVES)
-        if not nxt:
+        current = _successors(nfa.follow, current) & nfa.entered_on.get(letter, 0)
+        if not current:
             return False
-        current = nxt
-    return bool(current & nfa.accepting)
+    return bool(current & nfa.accept)
 
 
 # --- inclusion ---------------------------------------------------------------
@@ -168,58 +220,70 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
     pair (l, S) is dropped when some earlier pair (l, S') has S' <= S: every
     suffix that leads (l, S) to a counterexample leads (l, S') to one too,
     from a word no later in shortlex order, so pruning changes neither the
-    verdict nor the counterexample.  `state_cap` bounds the number of admitted pairs.
+    verdict nor the counterexample.  A pair is tested at most once: an
+    antichain member is only ever replaced by a subset of it, so a pruned
+    pair stays prunable, and for each right set a mask of the left states
+    already tried with it drops the repeats with one AND.  `state_cap`
+    bounds the number of admitted pairs.
     """
     if left.alphabet != right.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(left.alphabet)} vs {sorted(right.alphabet)}"
         )
-    lmoves, rmoves = _moves(left), _moves(right)
-    letters = sorted(left.alphabet)
+    lfollow, laccept = left.follow, left.accept
+    rfollow, raccept = right.follow, right.accept
+    steps = [(x, left.entered_on[x], right.entered_on[x]) for x in sorted(left.alphabet)]
 
-    start = (left.start, frozenset((right.start,)))
+    start = (0, 1)  # both start states: left 0, right {0}
     # parent links of the admitted pairs reconstruct the witness word
-    seen: dict[tuple[int, frozenset[int]], tuple[tuple[int, frozenset[int]] | None, str | None]] = {
-        start: (None, None)
-    }
+    seen: dict[tuple[int, int], tuple[tuple[int, int] | None, str | None]] = {start: (None, None)}
     # per left state, the minimal right sets among the admitted pairs
-    least: dict[int, list[frozenset[int]]] = {left.start: [start[1]]}
+    least: dict[int, list[int]] = {0: [1]}
+    # per right set, the left states already paired with it, admitted or pruned
+    tried: dict[int, int] = {1: 1}
     queue = deque((start,))
     while queue:
         pair = queue.popleft()
         lstate, rsubset = pair
-        if lstate in left.accepting and not (rsubset & right.accepting):
+        if laccept >> lstate & 1 and not rsubset & raccept:
             word: list[str] = []
-            cursor: tuple[int, frozenset[int]] | None = pair
+            cursor: tuple[int, int] | None = pair
             while cursor is not None:
                 parent, letter = seen[cursor]
                 if letter is not None:
                     word.append(letter)
                 cursor = parent
             return InclusionResult(False, tuple(reversed(word)))
-        for letter in letters:
-            ltargets = lmoves[lstate].get(letter)
-            if not ltargets:
+        lsucc = lfollow[lstate]
+        rsucc = _successors(rfollow, rsubset)  # on every letter at once
+        for letter, lentered, rentered in steps:
+            rsub = rsucc & rentered
+            done = tried.get(rsub, 0)
+            lnexts = lsucc & lentered & ~done
+            if not lnexts:
                 continue
-            rtarget: set[int] = set()
-            for q in rsubset:
-                rtarget |= rmoves[q].get(letter, _NO_MOVES)
-            rsub = frozenset(rtarget)
-            for lnext in sorted(ltargets):
-                nxt = (lnext, rsub)
-                if nxt in seen:
-                    continue
-                kept = least.setdefault(lnext, [])
-                if any(smaller <= rsub for smaller in kept):
-                    continue
-                if len(seen) >= state_cap:
-                    raise StateLimitError(
-                        f"inclusion check exceeded {state_cap} product states"
-                    )
-                kept[:] = [larger for larger in kept if not rsub <= larger]
-                kept.append(rsub)
-                seen[nxt] = (pair, letter)
-                queue.append(nxt)
+            tried[rsub] = done | lnexts
+            outside = ~rsub
+            for lnext in _bits(lnexts):  # ascending state order (see `Nfa`)
+                # One pass over lnext's antichain: an S' with S' & ~rsub == 0
+                # (S' <= rsub) prunes the pair; otherwise the S' that do not
+                # contain rsub stay and rsub joins them.
+                keep = []
+                for other in least.get(lnext, ()):
+                    if not other & outside:
+                        break
+                    if rsub & ~other:
+                        keep.append(other)
+                else:
+                    if len(seen) >= state_cap:
+                        raise StateLimitError(
+                            f"inclusion check exceeded {state_cap} product states"
+                        )
+                    keep.append(rsub)
+                    least[lnext] = keep
+                    nxt = (lnext, rsub)
+                    seen[nxt] = (pair, letter)
+                    queue.append(nxt)
     return InclusionResult(True, None)
 
 
@@ -263,8 +327,9 @@ def decision_automata(logic: LogicId, s: Sequent) -> tuple[Nfa, Nfa]:
 def to_dot(nfa: Nfa, name: str = "nfa") -> str:
     """GraphViz rendering for debugging."""
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=point, label=""];']
+    accepting = nfa.accepting
     for q in sorted(nfa.states):
-        shape = "doublecircle" if q in nfa.accepting else "circle"
+        shape = "doublecircle" if q in accepting else "circle"
         lines.append(f"  q{q} [shape={shape}, label=\"{q}\"];")
     lines.append(f"  hidden -> q{nfa.start};")
     for src, label, dst in sorted(nfa.transitions):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .syntax import (
-    Formula,
     Fuse,
     LogicId,
     One,
@@ -26,7 +25,6 @@ from .syntax import (
     Zero,
     parse_sequent,
     print_sequent,
-    subformulas,
 )
 
 
@@ -464,12 +462,3 @@ class Prover:
                 return ProofTree(s, app.rule, tuple(self._build(p) for p in app.premises))
         raise AssertionError(f"no justification recorded for {print_sequent(s)}")
 
-
-def goal_subformulas(goal: Sequent) -> frozenset[Formula]:
-    """Subformula closure of a sequent; every sequent backward search can
-    reach from `goal` draws its formulas from this set."""
-    acc: set[Formula] = set()
-    for f in goal.antecedent:
-        acc.update(subformulas(f))
-    acc.update(subformulas(goal.succedent))
-    return frozenset(acc)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kleeneseq import algebra as alg
 from kleeneseq import automata, oracle
+from kleeneseq.algebra import Term
 from kleeneseq.automata import (
     AlphabetMismatchError,
     Nfa,
@@ -18,7 +19,7 @@ from kleeneseq.automata import (
     to_dot,
 )
 from kleeneseq.calculus import LogicId
-from kleeneseq.syntax import Var, parse_sequent, subformulas
+from kleeneseq.syntax import Var, parse_formula, parse_sequent, subformulas
 from strategies import plus_terms, seeded_term_pairs, star_terms
 
 star, plus = alg.parse_star_term, alg.parse_plus_term
@@ -116,10 +117,80 @@ def test_compile_nullability_and_dead_positions(text):
 
 
 def test_nfa_validation():
-    with pytest.raises(ValueError):
-        Nfa(frozenset((0,)), frozenset(), frozenset(), 1, frozenset())
-    with pytest.raises(ValueError):
-        Nfa(frozenset((0, 1)), frozenset(), frozenset(((0, "a", 1),)), 0, frozenset())
+    ab = frozenset(AB)
+    Nfa(ab, ("a", "b"), (0b010, 0b100, 0b110), 0b101)  # well formed
+    malformed = [
+        (ab, ("a",), (0b10,), 0),  # one successor mask for two states
+        (ab, ("c",), (0b10, 0), 0),  # letter outside the alphabet
+        (ab, ("a",), (0b100, 0), 0),  # successor past the last state
+        (ab, ("a",), (0b10, 0b01), 0),  # edge into the start state
+        (ab, ("a",), (0b10, 0), 0b100),  # accepting state past the last state
+        (ab, ("a",), (0b10, -2), 0),  # a negative mask has every high bit set
+    ]
+    for args in malformed:
+        with pytest.raises(ValueError):
+            Nfa(*args)
+
+
+# Set views of one kl and one kl+ automaton, pinned so that deriving them from
+# another representation can neither reorder nor drop an edge.
+GOLDEN_KL_DOT = """digraph nfa {
+  rankdir=LR;
+  hidden [shape=point, label=""];
+  q0 [shape=doublecircle, label="0"];
+  q1 [shape=circle, label="1"];
+  q2 [shape=doublecircle, label="2"];
+  q3 [shape=doublecircle, label="3"];
+  hidden -> q0;
+  q0 -> q1 [label="a"];
+  q0 -> q3 [label="a"];
+  q1 -> q2 [label="b"];
+  q2 -> q1 [label="a"];
+  q2 -> q3 [label="a"];
+  q3 -> q3 [label="a"];
+}"""
+GOLDEN_KLP_DOT = """digraph nfa {
+  rankdir=LR;
+  hidden [shape=point, label=""];
+  q0 [shape=circle, label="0"];
+  q1 [shape=circle, label="1"];
+  q2 [shape=circle, label="2"];
+  q3 [shape=doublecircle, label="3"];
+  hidden -> q0;
+  q0 -> q1 [label="a"];
+  q1 -> q2 [label="b"];
+  q2 -> q1 [label="a"];
+  q2 -> q3 [label="a"];
+}"""
+
+
+@pytest.mark.parametrize(
+    "logic,text,dot,transitions,accepting",
+    [
+        (
+            LogicId.KL,
+            "(a.b)?.a?",
+            GOLDEN_KL_DOT,
+            {(0, "a", 1), (0, "a", 3), (1, "b", 2), (2, "a", 1), (2, "a", 3), (3, "a", 3)},
+            {0, 2, 3},
+        ),
+        (
+            LogicId.KL_PLUS,
+            "(a.b)?.a",
+            GOLDEN_KLP_DOT,
+            {(0, "a", 1), (1, "b", 2), (2, "a", 1), (2, "a", 3)},
+            {3},
+        ),
+    ],
+    ids=["kl", "kl+"],
+)
+def test_golden_set_views(logic, text, dot, transitions, accepting):
+    nfa = compile(Term(parse_formula(text), logic), AB)
+    assert to_dot(nfa) == dot
+    assert nfa.transitions == transitions
+    assert nfa.states == {0, 1, 2, 3}
+    assert nfa.start == 0
+    assert nfa.accepting == accepting
 
 
 # --- inclusion -----------------------------------------------------------
@@ -277,6 +348,18 @@ def test_subset_family_counterexample_within_small_state_cap(logic, length):
     result = decide(logic, parse_sequent(SUBSET_12_B), state_cap=100)
     assert not result.derivable
     assert result.counterexample == ("a",) * length
+
+
+CHAIN_400 = ".".join(["a?"] * 400 + ["a"]) + " |- a?"
+
+
+@pytest.mark.parametrize("logic", list(LogicId))
+def test_chain_admits_402_product_pairs(logic):
+    # the start pair plus one pair per left position, all with the same
+    # right subset, so the cap is met exactly
+    assert decide(logic, parse_sequent(CHAIN_400), state_cap=402).derivable
+    with pytest.raises(StateLimitError):
+        decide(logic, parse_sequent(CHAIN_400), state_cap=401)
 
 
 # --- decide -----------------------------------------------------------------

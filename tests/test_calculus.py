@@ -12,13 +12,12 @@ from kleeneseq.calculus import (
     RuleId,
     applicable_rules,
     check_proof,
-    goal_subformulas,
     render_tree,
     tree_from_json,
     tree_to_json,
     tree_to_json_dict,
 )
-from kleeneseq.syntax import Sequent, parse_sequent, print_sequent, sequent_size
+from kleeneseq.syntax import Sequent, parse_sequent, print_sequent, sequent_size, subformulas
 from strategies import sequents
 
 KL, KLP = LogicId.KL, LogicId.KL_PLUS
@@ -97,7 +96,7 @@ def test_premises_shrink_except_bounded_left_query_resets(s):
         RuleId.PLUS_Q_L1,
         RuleId.PLUS_Q_L2,
     }
-    closure = goal_subformulas(s)
+    closure = {g for f in (*s.antecedent, s.succedent) for g in subformulas(f)}
     for logic in (KL, KLP):
         for app in applicable_rules(logic, s):
             for i, premise in enumerate(app.premises):
