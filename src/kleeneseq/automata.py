@@ -21,11 +21,22 @@ explored, which keeps both the verdict and that counterexample (see
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .algebra import Term, interpret_sequent
-from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Var, Zero, sequent_variables
+from .syntax import (
+    Formula,
+    Fuse,
+    LogicId,
+    One,
+    Or,
+    Query,
+    Sequent,
+    Value,
+    Var,
+    Zero,
+    sequent_variables,
+)
 
 DEFAULT_STATE_CAP = 10**6
 
@@ -38,8 +49,7 @@ class StateLimitError(RuntimeError):
     """The product construction exceeded the configured state cap."""
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Value):
     """Position automaton over `alphabet`, stored as bit sets.
 
     State 0 starts; state p > 0 is entered only on `letters[p - 1]`, so a
@@ -61,29 +71,36 @@ class Nfa:
     as sets, for inspection and rendering.
     """
 
-    alphabet: frozenset[str]
-    letters: tuple[str, ...]
-    follow: tuple[int, ...]
-    accept: int
-    entered_on: dict[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("alphabet", "letters", "follow", "accept")
+    __slots__ = _fields + ("entered_on",)  # entered_on is derived: not compared
 
-    def __post_init__(self) -> None:
-        n = len(self.letters) + 1
-        if len(self.follow) != n:
-            raise ValueError(f"{len(self.follow)} successor masks for {n} states")
-        entered_on = dict.fromkeys(self.alphabet, 0)
-        for p, letter in enumerate(self.letters, 1):
+    def __init__(
+        self,
+        alphabet: frozenset[str],
+        letters: tuple[str, ...],
+        follow: tuple[int, ...],
+        accept: int,
+    ):
+        n = len(letters) + 1
+        if len(follow) != n:
+            raise ValueError(f"{len(follow)} successor masks for {n} states")
+        entered_on = dict.fromkeys(alphabet, 0)
+        for p, letter in enumerate(letters, 1):
             if letter not in entered_on:
                 raise ValueError(f"state {p} letter {letter!r} missing from alphabet")
             entered_on[letter] |= 1 << p
         limit = 1 << n
-        for p, succ in enumerate(self.follow):
+        for p, succ in enumerate(follow):
             if not 0 <= succ < limit:
                 raise ValueError(f"state {p} has a successor past the last state")
             if succ & 1:
                 raise ValueError(f"state {p} has an edge into the start state")
-        if not 0 <= self.accept < limit:
+        if not 0 <= accept < limit:
             raise ValueError("accepting state past the last state")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "follow", follow)
+        object.__setattr__(self, "accept", accept)
         object.__setattr__(self, "entered_on", entered_on)
 
     # neither `compile` nor the inclusion search reads the set views
@@ -198,10 +215,12 @@ def accepts(nfa: Nfa, word: Iterable[str]) -> bool:
 # --- inclusion ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InclusionResult:
-    holds: bool
-    counterexample: tuple[str, ...] | None
+class InclusionResult(Value):
+    __slots__ = _fields = ("holds", "counterexample")
+
+    def __init__(self, holds: bool, counterexample: tuple[str, ...] | None):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "counterexample", counterexample)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -295,10 +314,12 @@ def equivalent(x: Nfa, y: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> bool:
 # --- the decision procedure ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecisionResult:
-    derivable: bool
-    counterexample: tuple[str, ...] | None
+class DecisionResult(Value):
+    __slots__ = _fields = ("derivable", "counterexample")
+
+    def __init__(self, derivable: bool, counterexample: tuple[str, ...] | None):
+        object.__setattr__(self, "derivable", derivable)
+        object.__setattr__(self, "counterexample", counterexample)
 
     def __bool__(self) -> bool:
         return self.derivable

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 from .syntax import (
@@ -22,6 +21,7 @@ from .syntax import (
     Or,
     Query,
     Sequent,
+    Value,
     Zero,
     parse_sequent,
     print_sequent,
@@ -93,12 +93,17 @@ _SEARCH_ORDER = {
 RULES_OF = {logic: frozenset(order) for logic, order in _SEARCH_ORDER.items()}
 
 
-@dataclass(frozen=True, eq=False)
-class RuleApp:
-    """One backward instance of a rule at a goal sequent."""
+class RuleApp(Value):
+    """One backward instance of a rule at a goal sequent.  Instances compare
+    by identity."""
 
-    rule: RuleId
-    premises: tuple[Sequent, ...]
+    __slots__ = _fields = ("rule", "premises")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, rule: RuleId, premises: tuple[Sequent, ...]):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
 
 
 def _rule_instances(rule: RuleId, goal: Sequent, for_search: bool) -> list[RuleApp]:
@@ -228,14 +233,19 @@ def applicable_rules(logic: LogicId, goal: Sequent) -> list[RuleApp]:
 # --- proof trees -------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ProofTree:
+class ProofTree(Value):
     """A rule-labelled derivation tree; the checker infers each node's
-    rule instance from its conclusion and premises."""
+    rule instance from its conclusion and premises.  Trees compare by
+    identity."""
 
-    conclusion: Sequent
-    rule: RuleId
-    premises: tuple[ProofTree, ...] = ()
+    __slots__ = _fields = ("conclusion", "rule", "premises")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, conclusion: Sequent, rule: RuleId, premises: tuple[ProofTree, ...] = ()):
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
 
 
 def tree_to_json_dict(tree: ProofTree) -> dict:
@@ -293,14 +303,16 @@ def render_tree(tree: ProofTree, indent: str = "  ") -> str:
 # --- proof checking ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """Why a proof tree is not a derivation: the node (as a path of premise
     indices from the root), the rule it claims, and the mismatch."""
 
-    path: tuple[int, ...]
-    rule: RuleId
-    reason: str
+    __slots__ = _fields = ("path", "rule", "reason")
+
+    def __init__(self, path: tuple[int, ...], rule: RuleId, reason: str):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "reason", reason)
 
     def __str__(self) -> str:
         where = "root" if not self.path else "node " + ".".join(map(str, self.path))

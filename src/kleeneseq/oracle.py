@@ -10,21 +10,22 @@ transcription bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import Term
-from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Var, Zero
+from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Value, Var, Zero
 
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class BoundedLanguage:
+class BoundedLanguage(Value):
     """Exactly the words of a term's language up to max_len letters."""
 
-    max_len: int
-    words: frozenset[Word]
+    __slots__ = _fields = ("max_len", "words")
+
+    def __init__(self, max_len: int, words: frozenset[Word]):
+        object.__setattr__(self, "max_len", max_len)
+        object.__setattr__(self, "words", words)
 
 
 def _concat(xs: set[Word], ys: set[Word], max_len: int) -> set[Word]:

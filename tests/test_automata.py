@@ -384,6 +384,24 @@ def test_decide(logic, text, expected, cex):
     assert result.counterexample == cex
 
 
+def test_decision_result_is_a_value():
+    result = decide(LogicId.KL, parse_sequent("a |- b"))
+    assert repr(result) == "DecisionResult(derivable=False, counterexample=('a',))"
+    assert result == decide(LogicId.KL, parse_sequent("a |- b"))
+    with pytest.raises(AttributeError):
+        result.derivable = True
+
+
+def test_compiled_automata_are_equal_values():
+    t = star("(a + b)* . a")
+    x, y = compile(t, AB), compile(t, AB)
+    assert x == y and x is not y
+    assert hash(x) == hash(y)
+    assert x != compile(star("a"), AB)
+    with pytest.raises(AttributeError):
+        x.accept = 0
+
+
 def test_decide_handles_variable_free_sequents():
     assert decide(LogicId.KL, parse_sequent("1 |- 1")).derivable
     assert not decide(LogicId.KL, parse_sequent("1 |- 0")).derivable

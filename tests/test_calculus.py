@@ -379,6 +379,24 @@ def test_flatten_preserves_derivability_small():
                 )
 
 
+def test_trees_and_rule_instances_compare_by_identity():
+    x, y = leaf(RuleId.AX, "a |- a"), leaf(RuleId.AX, "a |- a")
+    assert x != y and x == x
+    assert len({x, y}) == 2
+    goal = parse_sequent("a |- a | b")
+    assert applicable_rules(KL, goal)[0] != applicable_rules(KL, goal)[0]
+    with pytest.raises(AttributeError):
+        x.rule = RuleId.CUT
+
+
+def test_violations_compare_by_value():
+    bad = leaf(RuleId.CUT, "a |- a")
+    v = check_proof(KL, bad)
+    assert v == check_proof(KL, bad) and hash(v) == hash(check_proof(KL, bad))
+    with pytest.raises(AttributeError):
+        v.reason = ""
+
+
 # --- serialization ----------------------------------------------------------------
 
 

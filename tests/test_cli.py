@@ -332,10 +332,16 @@ def python(*args):
     )
 
 
-# Runs one command, then prints the kleeneseq modules the process has loaded.
+# Slow-to-import standard modules that no command needs: `inspect` pulls in
+# `ast`, `dis` and `tokenize`.  (`typing` is left out: `site` may load it.)
+_HEAVY_STDLIB = ("dataclasses", "inspect")
+
+# Runs one command, then prints the kleeneseq modules and the heavy standard
+# modules the process has loaded.
 _LOADED_AFTER_MAIN = (
     "import sys; from kleeneseq.cli import main; main(sys.argv[1:]); "
-    "print(*sorted(n for n in sys.modules if n.startswith('kleeneseq.')))"
+    "print(*sorted(n for n in sys.modules if n.startswith('kleeneseq.') or n in %r))"
+    % (_HEAVY_STDLIB,)
 )
 
 
@@ -364,6 +370,7 @@ def test_command_loads_only_its_modules(argv, runs, not_loaded):
     loaded = {n.removeprefix("kleeneseq.") for n in done.stdout.splitlines()[-1].split()}
     assert runs <= loaded
     assert not loaded & not_loaded
+    assert not loaded & set(_HEAVY_STDLIB)
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ def test_enumerate_star():
     lang = enumerate_language(star("a*"), 3)
     assert isinstance(lang, BoundedLanguage)
     assert lang.max_len == 3
+    assert lang == enumerate_language(star("a*"), 3) != enumerate_language(star("a*"), 2)
     assert words(star("a*"), 3) == {"", "a", "aa", "aaa"}
 
 

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -163,6 +166,56 @@ def test_sequent_size_sums_antecedent_and_succedent():
 
 def test_empty_antecedent_differs_from_one():
     assert parse_sequent("|- a") != parse_sequent("1 |- a")
+
+
+# --- value semantics ------------------------------------------------------------
+
+
+def test_values_of_different_classes_differ():
+    assert Or(a, b) != Fuse(a, b)
+    assert Zero() != One()
+    s = parse_sequent("a |- b")
+    assert s != (s.antecedent, s.succedent)
+
+
+@pytest.mark.parametrize("text", ["a . b? | 0", "1 | c??", "|- a", "a, b? |- a . 1"])
+def test_equal_values_hash_equal(text):
+    parse = parse_sequent if "|-" in text else parse_formula
+    x, y = parse(text), parse(text)
+    assert x == y and x is not y
+    assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (a, "name"),
+        (Zero(), "name"),
+        (Or(a, b), "left"),
+        (Query(a), "body"),
+        (Sequent((a,), b), "succedent"),
+    ],
+)
+def test_fields_are_read_only(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, c)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+def test_repr_names_the_fields():
+    assert repr(parse_formula("a.b?")) == (
+        "Fuse(left=Var(name='a'), right=Query(body=Var(name='b')))"
+    )
+    assert repr(parse_sequent("|- 1 | 0")) == (
+        "Sequent(antecedent=(), succedent=Or(left=One(), right=Zero()))"
+    )
+
+
+def test_values_copy_and_pickle():
+    s = parse_sequent("a, (b | 1)? |- a . 0")
+    assert copy.deepcopy(s) == s
+    assert pickle.loads(pickle.dumps(s)) == s
 
 
 @given(st.text(alphabet="ab01|.?,()- \t", max_size=30))
