@@ -6,21 +6,23 @@ one state per letter occurrence, entered only on that letter, so there are
 no epsilon-moves; the logic decides only whether a `?` is nullable.
 Because every state is entered on one letter, an automaton is stored as bit
 sets (see `Nfa`): one int per state for its successors and one for the
-accepting states, and a set of states is an int too.  Compilation ORs these
-masks together, and a step of a set of states on a letter is an OR of
-successor masks and one AND.
+accepting states, and a set of states is an int too.  A step of a set of
+states on a letter is an OR of successor masks and one AND.
+Compilation is two walks over the formula: one numbers the positions and
+computes each subterm's first and last positions, the other assigns each
+position its follow set once, so it costs O(size) mask ORs rather than a
+step per (last position, fuse or query) pair (see `compile`).
 Inclusion is checked by a breadth-first product of the left automaton with
 the subsets of right-automaton states reachable on the same word, which
-yields a shortest (and letter-order least) counterexample word when
-inclusion fails.  The product is pruned by antichains: a pair whose right
-subset contains that of an earlier pair with the same left state is never
-explored, which keeps both the verdict and that counterexample (see
-`includes`).
+yields the shortlex-least counterexample word (a shortest one, least in
+letter order among those) when inclusion fails.  The product is pruned by
+antichains: a pair whose right subset contains that of an earlier pair with
+the same left state is never explored, which keeps both the verdict and
+that counterexample (see `includes`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from .algebra import Term, interpret_sequent
@@ -59,13 +61,12 @@ class Nfa(Value):
     entered on x, so the x-successors of a set S of states are the OR of
     `follow[p]` over p in S, ANDed with `entered_on[x]`.
 
-    `includes` discovers pairs in shortlex order of their words because it
-    is breadth-first and takes letters in sorted order; that is all its
-    pruning argument needs, since pairs reached on one word have the same
-    word whatever their order.  It takes the states of a mask in ascending
-    bit order, i.e. ascending state number, which fixes that order too, so
-    the pairs admitted and the count `state_cap` bounds are those of a
-    search over sorted state numbers.
+    `includes` discovers the words of its pairs in shortlex order because
+    it is breadth-first over words and takes letters in sorted order.  Among
+    the pairs first reached on one word it takes the states of a mask in
+    ascending bit order, i.e. ascending state number, so the pairs admitted
+    and the count `state_cap` bounds are those of a search over sorted
+    state numbers.
 
     `states`, `start`, `accepting` and `transitions` give the same automaton
     as sets, for inspection and rendering.
@@ -137,8 +138,10 @@ def _bits(mask: int) -> list[int]:
 def _successors(follow: tuple[int, ...], mask: int) -> int:
     """The OR of `follow[p]` over the states p in `mask`."""
     succ = 0
-    for p in _bits(mask):
-        succ |= follow[p]
+    while mask:
+        low = mask & -mask
+        succ |= follow[low.bit_length() - 1]
+        mask ^= low
     return succ
 
 
@@ -148,27 +151,39 @@ def _successors(follow: tuple[int, ...], mask: int) -> int:
 def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
     """Position automaton: state 0 starts, state p is the p-th letter
     occurrence of `t` and is entered only on that letter.  A `?` iterates
-    its body zero or more times in kl and one or more times in kl+."""
+    its body zero or more times in kl and one or more times in kl+.
+
+    Two recursive walks over the formula build it (Brüggemann-Klein, TCS
+    1993).  The first numbers the positions left to right and computes
+    (nullable, first, last) of each subterm bottom-up.  The second goes
+    right to left and carries `after`, the first positions of whatever may
+    follow the current subterm; a letter's position gets `after` as its
+    follow set, once.  Both sides of an `Or` get `after`.  In a `Fuse` the
+    right part gets `after`, and the left part gets the right part's first
+    positions, plus `after` when the right part is nullable.  A `Query`'s
+    body gets its own first positions plus `after`.  That is O(size) mask
+    ORs in all, where linking every last position of each fuse and query to
+    a first set, bit by bit, would take Θ(Σ|last|) steps: quadratic on the
+    kl chain `a?.….a?.a`.
+
+    The walks meet in `firsts`, one entry per `Fuse` and `Query` in the
+    first walk's post-order, which the second walk pops in reverse.  It is
+    keyed by walk order, not by node, because a formula may share subtrees
+    (`map_j` does) and positions belong to occurrences."""
     alpha = frozenset(alphabet)
     star = t.logic is LogicId.KL
     letters: list[str] = []  # letters[p - 1] labels position p
-    follow: list[int] = [0]  # bit q of follow[p]: q may follow p
-
-    def link(last: int, first: int) -> None:
-        if first:
-            for p in _bits(last):
-                follow[p] |= first
+    # per Fuse, (first, nullable) of its right part; per Query, its body's first
+    firsts: list[tuple[int, bool] | int] = []
 
     def walk(f: Formula) -> tuple[bool, int, int]:
-        """(nullable, first, last) of `f`, as masks of positions; links the
-        positions that follow one another inside `f`."""
+        """(nullable, first, last) of `f`, as masks of positions."""
         if isinstance(f, Zero):
             return False, 0, 0
         if isinstance(f, One):
             return True, 0, 0
         if isinstance(f, Var):
             letters.append(f.name)
-            follow.append(0)
             here = 1 << len(letters)
             return False, here, here
         if isinstance(f, Or):
@@ -178,7 +193,7 @@ def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
         if isinstance(f, Fuse):
             lnull, lfirst, llast = walk(f.left)
             rnull, rfirst, rlast = walk(f.right)
-            link(llast, rfirst)
+            firsts.append((rfirst, rnull))
             return (
                 lnull and rnull,
                 lfirst | rfirst if lnull else lfirst,
@@ -187,7 +202,7 @@ def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
         if isinstance(f, Query):
             # plus is star without the empty pass
             null, first, last = walk(f.body)
-            link(last, first)
+            firsts.append(first)
             return null or star, first, last
         raise TypeError(f"not a formula: {f!r}")
 
@@ -195,7 +210,28 @@ def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
     missing = set(letters) - alpha
     if missing:
         raise ValueError(f"term mentions variables outside the alphabet: {sorted(missing)}")
-    follow[0] = first
+    # bit q of follow[p]: q may follow p; the start is followed by `first`
+    follow = [first] + [0] * len(letters)
+    position = len(letters)
+
+    def assign(f: Formula, after: int) -> None:
+        """Set the follow set of each position of `f`, given what may
+        follow `f`; visits the positions last to first."""
+        nonlocal position
+        if isinstance(f, Var):
+            follow[position] = after
+            position -= 1
+        elif isinstance(f, Or):
+            assign(f.right, after)
+            assign(f.left, after)
+        elif isinstance(f, Fuse):
+            rfirst, rnull = firsts.pop()
+            assign(f.right, after)
+            assign(f.left, rfirst | after if rnull else rfirst)
+        elif isinstance(f, Query):
+            assign(f.body, firsts.pop() | after)
+
+    assign(t.formula, 0)
     return Nfa(alpha, tuple(letters), tuple(follow), last | 1 if nullable else last)
 
 
@@ -229,18 +265,24 @@ class InclusionResult(Value):
 def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> InclusionResult:
     """Whether every word of `left` is a word of `right`.
 
-    When not, the counterexample is a shortest word accepted by `left` and
-    rejected by `right` (ties broken by sorted letter order).
+    When not, the counterexample is the least word in shortlex order (a
+    shortest one, least in sorted letter order among those) accepted by
+    `left` and rejected by `right`.
 
     The search is breadth-first over pairs (left state, set of right states
-    reached on the same word), discovered in shortlex order of their words,
-    and it keeps for each left state an antichain of the least right sets
-    admitted so far (De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  A new
-    pair (l, S) is dropped when some earlier pair (l, S') has S' <= S: every
-    suffix that leads (l, S) to a counterexample leads (l, S') to one too,
-    from a word no later in shortlex order, so pruning changes neither the
-    verdict nor the counterexample.  A pair is tested at most once: an
-    antichain member is only ever replaced by a subset of it, so a pruned
+    reached on the same word), and it keeps for each left state an antichain
+    of the least right sets admitted so far (De Wulf, Doyen, Henzinger and
+    Raskin, CAV 2006).  A new pair (l, S) is dropped when some earlier pair
+    (l, S') has S' <= S: every suffix that leads (l, S) to a counterexample
+    leads (l, S') to one too, from a word no later in shortlex order, so
+    pruning changes neither the verdict nor the counterexample.  That needs
+    pairs discovered in shortlex order of their words.  Since the left
+    automaton is nondeterministic, several pairs share a word, and they
+    share its right set too; the queue holds one group per word, the mask
+    of left states first admitted on it, and expands a group letter by
+    letter, so the children on each letter form the next group and groups
+    come off the queue in shortlex order.  A pair is tested at most once:
+    an antichain member is only ever replaced by a subset of it, so a pruned
     pair stays prunable, and for each right set a mask of the left states
     already tried with it drops the repeats with one AND.  `state_cap`
     bounds the number of admitted pairs.
@@ -253,28 +295,23 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
     rfollow, raccept = right.follow, right.accept
     steps = [(x, left.entered_on[x], right.entered_on[x]) for x in sorted(left.alphabet)]
 
-    start = (0, 1)  # both start states: left 0, right {0}
-    # parent links of the admitted pairs reconstruct the witness word
-    seen: dict[tuple[int, int], tuple[tuple[int, int] | None, str | None]] = {start: (None, None)}
+    # per word, in shortlex order: (left states first admitted on it, its
+    # right set, and the parent link (group index, letter) that spells it)
+    groups: list[tuple[int, int, int, str | None]] = [(1, 1, -1, None)]  # both starts
+    admitted = 1
     # per left state, the minimal right sets among the admitted pairs
     least: dict[int, list[int]] = {0: [1]}
     # per right set, the left states already paired with it, admitted or pruned
     tried: dict[int, int] = {1: 1}
-    queue = deque((start,))
-    while queue:
-        pair = queue.popleft()
-        lstate, rsubset = pair
-        if laccept >> lstate & 1 and not rsubset & raccept:
+    for index, (lstates, rsubset, _, _) in enumerate(groups):  # grows as it goes
+        if lstates & laccept and not rsubset & raccept:
             word: list[str] = []
-            cursor: tuple[int, int] | None = pair
-            while cursor is not None:
-                parent, letter = seen[cursor]
-                if letter is not None:
-                    word.append(letter)
-                cursor = parent
+            while index > 0:
+                _, _, index, letter = groups[index]
+                word.append(letter)
             return InclusionResult(False, tuple(reversed(word)))
-        lsucc = lfollow[lstate]
-        rsucc = _successors(rfollow, rsubset)  # on every letter at once
+        lsucc = _successors(lfollow, lstates)  # on every letter at once
+        rsucc = _successors(rfollow, rsubset)
         for letter, lentered, rentered in steps:
             rsub = rsucc & rentered
             done = tried.get(rsub, 0)
@@ -283,6 +320,7 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
                 continue
             tried[rsub] = done | lnexts
             outside = ~rsub
+            child = 0
             for lnext in _bits(lnexts):  # ascending state order (see `Nfa`)
                 # One pass over lnext's antichain: an S' with S' & ~rsub == 0
                 # (S' <= rsub) prunes the pair; otherwise the S' that do not
@@ -294,15 +332,16 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
                     if rsub & ~other:
                         keep.append(other)
                 else:
-                    if len(seen) >= state_cap:
+                    if admitted >= state_cap:
                         raise StateLimitError(
                             f"inclusion check exceeded {state_cap} product states"
                         )
+                    admitted += 1
                     keep.append(rsub)
                     least[lnext] = keep
-                    nxt = (lnext, rsub)
-                    seen[nxt] = (pair, letter)
-                    queue.append(nxt)
+                    child |= 1 << lnext
+            if child:
+                groups.append((child, rsub, index, letter))
     return InclusionResult(True, None)
 
 

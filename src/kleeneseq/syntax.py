@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterator
 
 
 class LogicId(Enum):
@@ -220,16 +219,6 @@ def sequent_variables(s: Sequent) -> frozenset[str]:
     for f in s.antecedent:
         vs |= formula_variables(f)
     return vs
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformulas of f, including f itself."""
-    yield f
-    if isinstance(f, Query):
-        yield from subformulas(f.body)
-    elif isinstance(f, (Or, Fuse)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
 
 
 # --- tokenizer -------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Hypothesis strategies and a seeded term generator shared by the tests.
+"""Hypothesis strategies, a seeded term generator and a subformula walk
+shared by the tests.
 
 A term is a formula read in a logic, so the term strategies are the formula
 strategies with the logic attached."""
@@ -6,6 +7,7 @@ strategies with the logic attached."""
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from hypothesis import strategies as st
 
@@ -40,6 +42,16 @@ def star_terms(max_leaves: int = 8) -> st.SearchStrategy[algebra.Term]:
 
 def plus_terms(max_leaves: int = 8) -> st.SearchStrategy[algebra.Term]:
     return formulas(max_leaves).map(lambda f: algebra.Term(f, syntax.LogicId.KL_PLUS))
+
+
+def subformulas(f: syntax.Formula) -> Iterator[syntax.Formula]:
+    """All subformulas of f, including f itself."""
+    yield f
+    if isinstance(f, syntax.Query):
+        yield from subformulas(f.body)
+    elif isinstance(f, (syntax.Or, syntax.Fuse)):
+        yield from subformulas(f.left)
+        yield from subformulas(f.right)
 
 
 def seeded_formula(rng: random.Random, size: int) -> syntax.Formula:

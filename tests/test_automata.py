@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kleeneseq import algebra as alg
@@ -19,8 +19,18 @@ from kleeneseq.automata import (
     to_dot,
 )
 from kleeneseq.calculus import LogicId
-from kleeneseq.syntax import Var, parse_formula, parse_sequent, subformulas
-from strategies import plus_terms, seeded_term_pairs, star_terms
+from kleeneseq.syntax import (
+    Fuse,
+    One,
+    Or,
+    Query,
+    Var,
+    Zero,
+    parse_formula,
+    parse_sequent,
+    sequent_variables,
+)
+from strategies import plus_terms, seeded_term_pairs, star_terms, subformulas
 
 star, plus = alg.parse_star_term, alg.parse_plus_term
 AB = ("a", "b")
@@ -114,6 +124,92 @@ def test_compile_nullability_and_dead_positions(text):
     # iterations of 0 and 1, and letters that no word can reach or leave
     t = plus(text) if "^" in text else star(text)
     _assert_position_automaton_of(compile(t, AB), t)
+
+
+def _reference_automaton(t):
+    """The position automaton by the textbook definitions, on Python sets of
+    occurrence indices: position p is the p-th letter occurrence from the
+    left, follow(p) holds q when some fuse has p last in its left part and q
+    first in its right part, or some query has p last and q first in its
+    body.  Returns (letters, follow, accept) in `Nfa`'s mask encoding."""
+    star = t.logic is LogicId.KL
+    letters = []
+    follow = {}
+
+    def walk(f):
+        if isinstance(f, Zero):
+            return False, set(), set()
+        if isinstance(f, One):
+            return True, set(), set()
+        if isinstance(f, Var):
+            letters.append(f.name)
+            p = len(letters)
+            follow[p] = set()
+            return False, {p}, {p}
+        if isinstance(f, Or):
+            lnull, lfirst, llast = walk(f.left)
+            rnull, rfirst, rlast = walk(f.right)
+            return lnull or rnull, lfirst | rfirst, llast | rlast
+        if isinstance(f, Fuse):
+            lnull, lfirst, llast = walk(f.left)
+            rnull, rfirst, rlast = walk(f.right)
+            for p in llast:
+                follow[p] |= rfirst
+            first = lfirst | rfirst if lnull else lfirst
+            last = llast | rlast if rnull else rlast
+            return lnull and rnull, first, last
+        assert isinstance(f, Query)
+        null, first, last = walk(f.body)
+        for p in last:
+            follow[p] |= first
+        return null or star, first, last
+
+    nullable, first, last = walk(t.formula)
+    follow[0] = first
+    accepting = last | {0} if nullable else last
+
+    def mask(positions):
+        return sum(1 << q for q in positions)
+
+    return tuple(letters), tuple(mask(follow[p]) for p in range(len(letters) + 1)), mask(accepting)
+
+
+def _assert_matches_reference(t, alphabet):
+    nfa = compile(t, alphabet)
+    assert (nfa.letters, nfa.follow, nfa.accept) == _reference_automaton(t), alg.print_term(t)
+
+
+@pytest.mark.parametrize("logic", list(LogicId))
+def test_compile_matches_textbook_reference_to_size_4(logic):
+    for s in oracle.enumerate_sequents({"a", "b"}, 4):
+        alphabet = sequent_variables(s)
+        for t in alg.interpret_sequent(s, logic):
+            _assert_matches_reference(t, alphabet)
+            if logic is LogicId.KL_PLUS:
+                # map_j shares each query body between two occurrences
+                _assert_matches_reference(alg.map_j(t), alphabet)
+
+
+def test_compile_matches_textbook_reference_seeded():
+    for plus_family in (False, True):
+        for pair in seeded_term_pairs(seed=11, count=60, max_size=12, plus_family=plus_family):
+            for t in pair:
+                _assert_matches_reference(t, AB)
+                if plus_family:
+                    _assert_matches_reference(alg.map_j(t), AB)
+
+
+def test_golden_kl_chain_follow_sets():
+    # in kl each a? may be skipped: position p is followed by itself and by
+    # every later position, and only the final a accepts
+    chain = ".".join(["a?"] * 50 + ["a"])
+    nfa = compile(Term(parse_formula(chain), LogicId.KL), ("a",))
+    assert nfa.letters == ("a",) * 51
+    assert nfa.follow[0] == sum(1 << q for q in range(1, 52))
+    for p in range(1, 51):
+        assert nfa.follow[p] == sum(1 << q for q in range(p, 52)), p
+    assert nfa.follow[51] == 0
+    assert nfa.accept == 1 << 51
 
 
 def test_nfa_validation():
@@ -310,6 +406,7 @@ def _assert_least_counterexample(nx, ny):
 
 
 @given(star_terms(max_leaves=6), star_terms(max_leaves=6))
+@example(star("a.b+a.a"), star("a"))
 @settings(max_examples=100, deadline=None)
 def test_counterexample_is_shortlex_least(x, y):
     # the antichain pruning must keep the shortest, letter-least witness
@@ -376,6 +473,11 @@ def test_chain_admits_402_product_pairs(logic):
         (LogicId.KL, "|- 1", True, None),
         (LogicId.KL, "0 |- 0", True, None),
         (LogicId.KL_PLUS, "a, 0?, a |- a", True, None),
+        # shortlex-least counterexamples where two left states share a word:
+        # the children of both on a come before those on b
+        (LogicId.KL, "a.b | a.a |- a", False, ("a", "a")),
+        (LogicId.KL_PLUS, "a.b | a.a |- a", False, ("a", "a")),
+        (LogicId.KL, "b?, b, a? |- b", False, ("b", "a")),
     ],
 )
 def test_decide(logic, text, expected, cex):

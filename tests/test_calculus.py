@@ -17,8 +17,8 @@ from kleeneseq.calculus import (
     tree_to_json,
     tree_to_json_dict,
 )
-from kleeneseq.syntax import Sequent, parse_sequent, print_sequent, sequent_size, subformulas
-from strategies import sequents
+from kleeneseq.syntax import Sequent, parse_sequent, print_sequent, sequent_size
+from strategies import sequents, subformulas
 
 KL, KLP = LogicId.KL, LogicId.KL_PLUS
 
