@@ -272,6 +272,10 @@ def tree_from_json_dict(obj: object) -> ProofTree:
         premises = obj["premises"]
     except KeyError as e:
         raise ValueError(f"proof tree JSON lacks key {e.args[0]!r}") from None
+    if not isinstance(rule_name, str):
+        raise ValueError("rule must be a string")
+    if not isinstance(conclusion_text, str):
+        raise ValueError("conclusion must be a string")
     if rule_name not in _RULE_BY_NAME:
         raise ValueError(f"unknown rule name {rule_name!r}")
     if not isinstance(premises, list):
@@ -402,28 +406,34 @@ class Prover:
 
     def _solve(self, goal: Sequent) -> None:
         status = self._status
-        # close the new region under backward rule application
-        apps: dict[Sequent, list[RuleApp]] = {}
+        # close the new region under backward rule application, keeping each
+        # region sequent's instances as premise tuples
+        apps: dict[Sequent, list[tuple[Sequent, ...]]] = {}
+        # rules build the same premise many times over; keeping the first
+        # equal object frees the copies at once and hashes each sequent once
+        canon: dict[Sequent, Sequent] = {goal: goal}
         stack = [goal]
         while stack:
             s = stack.pop()
             if s in apps or s in status:
                 continue
-            instances = applicable_rules(self.logic, s)
-            apps[s] = instances
-            for app in instances:
-                for p in app.premises:
+            instances = apps[s] = []
+            for app in applicable_rules(self.logic, s):
+                premises = tuple([canon.setdefault(p, p) for p in app.premises])
+                instances.append(premises)
+                for p in premises:
                     if p not in apps and p not in status:
                         stack.append(p)
+        del canon
         # saturate: fire every rule instance whose premises are all proven
         dependents: dict[Sequent, list[list]] = {}
         seeds: list[Sequent] = []
         for s, instances in apps.items():
-            for app in instances:
+            for premises in instances:
                 need = 0
                 dead = False
                 pending: list[Sequent] = []
-                for p in app.premises:
+                for p in premises:
                     st = status.get(p)
                     if st == _REFUTED:
                         dead = True

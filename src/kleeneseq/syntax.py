@@ -33,10 +33,12 @@ class Value:
     A subclass names its fields in `_fields` (and in `__slots__`) and sets
     them in `__init__` with `object.__setattr__`; after that, assigning or
     deleting an attribute raises `AttributeError`.  Instances are equal when
-    they have the same class and equal field tuples, and hash as that tuple.
-    The formula and sequent classes, whose hashing and comparison the prover
-    runs on every table lookup, spell out `__eq__` and `__hash__` on their
-    own fields instead of going through `_values`.
+    they have the same class and equal field tuples, and equal instances hash
+    equal.  The formula and sequent classes, whose hashing and comparison the
+    prover runs on every table lookup, spell out `__eq__` and `__hash__` on
+    their own fields instead of going through `_values`.  A subclass may add
+    derived slots after its fields in `__slots__`; they take no part in
+    equality, `repr` or pickling.
     """
 
     __slots__ = ()
@@ -69,11 +71,12 @@ class Value:
 
 
 # The formula node classes derive from `Value` directly, and each spells out
-# its own `__eq__`/`__hash__`.  A deeper hierarchy measured slower: with a
-# `Formula` base class between the nodes and `Value`, the prover-heavy sweep
-# benchmark ran ~5% fewer queries per second.  A method shared by two classes
-# reads its fields at call sites that see both, which the interpreter's
-# per-site attribute caches handle more slowly (~20% slower `==` on formulas).
+# its own `__eq__`/`__hash__`, hashing the tuple of its fields.  A deeper
+# hierarchy measured slower: with a `Formula` base class between the nodes and
+# `Value`, the prover-heavy sweep benchmark ran ~5% fewer queries per second.
+# A method shared by two classes reads its fields at call sites that see both,
+# which the interpreter's per-site attribute caches handle more slowly (~20%
+# slower `==` on formulas).  Of these classes only `Sequent` caches its hash.
 
 
 class Var(Value):
@@ -172,9 +175,16 @@ class Sequent(Value):
     Antecedent order and multiplicity matter: there is no exchange,
     weakening or contraction.  An empty antecedent is legal and is not the
     same thing as an antecedent holding `1`.
+
+    Hashing walks every formula, and proof search looks each sequent up in
+    several tables, so the first `hash` stores the value in the slot `_hash`,
+    which is derived and not a field.  It is filled lazily, not in
+    `__init__`: most of the sequents built while enumerating a space are
+    never hashed.
     """
 
-    __slots__ = _fields = ("antecedent", "succedent")
+    _fields = ("antecedent", "succedent")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, antecedent: tuple[Formula, ...], succedent: Formula):
         object.__setattr__(self, "antecedent", antecedent)
@@ -186,7 +196,12 @@ class Sequent(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.antecedent, self.succedent))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.antecedent, self.succedent))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 def formula_size(f: Formula) -> int:

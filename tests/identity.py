@@ -1,4 +1,4 @@
-"""Print the four identity hashes that pin the outputs of a change.
+"""Print the five identity hashes that pin the outputs of a change.
 
 Run from the repository root (pytest does not collect this file):
 
@@ -13,10 +13,12 @@ Each line is a name and the SHA-256 of one output stream, logic outer:
 - dot-size5: `to_dot(left) + to_dot(right)` of `decision_automata` on every
   sequent up to size 5;
 - proofs-size5: `tree_to_json` of the proof that one tabled `Prover` per
-  logic finds for every sequent up to size 5, `null` where there is none.
+  logic finds for every sequent up to size 5, `null` where there is none;
+- proofs-hard: the same for the four criterion-7 sequents, each proved by a
+  fresh `Prover`, so that large search regions are pinned too.
 
 A change that keeps verdicts, counterexamples, automata and proof trees
-keeps all four hashes.  The whole run takes a few seconds.
+keeps all five hashes.  The whole run takes under a minute.
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ from kleeneseq.oracle import enumerate_sequents
 from kleeneseq.syntax import LogicId, parse_sequent
 
 AB = {"a", "b"}
+
+# The criterion-7 sequents of the acceptance suite.
+HARD_TEXTS = (
+    "(a.b.c.d)?, ((a|b).(c|d))?, (a?.b?.c?.d?)? |- ((a|b|c|d)? . (a|b|c|d)?)?",
+    "(a?|b?)?, ((a|b)? . (c|d)?)?, ((a.b)? | (c.d)?)?, (d.c.b.a)? |- ((((a|b).(c|d))?)?)?",
+    "((((a|b)?.c)?.d)?.(b|c))?, ((((a|b)?.c)?.d)?.(b|c))?, a? |- (a|b|c|d)?",
+    "(a|b|c|d)?, (d?.c?.b?.a?)?, ((a.b)?.(c.d)?)? |- (((a|b|c|d)?)? . 1)?",
+)
 
 
 def _decide_scale_texts() -> list[str]:
@@ -78,15 +88,24 @@ def dot_size5() -> str:
     )
 
 
+def _tree_json(prover: Prover, s) -> str:
+    tree = prover.prove(s)
+    return "null" if tree is None else tree_to_json(tree)
+
+
 def proofs_size5() -> str:
     def trees():
         for logic in LogicId:
             prover = Prover(logic)
             for s in enumerate_sequents(AB, 5):
-                tree = prover.prove(s)
-                yield "null" if tree is None else tree_to_json(tree)
+                yield _tree_json(prover, s)
 
     return _digest(trees())
+
+
+def proofs_hard() -> str:
+    sequents = [parse_sequent(text) for text in HARD_TEXTS]
+    return _digest(_tree_json(Prover(logic), s) for logic in LogicId for s in sequents)
 
 
 def main() -> None:
@@ -95,6 +114,7 @@ def main() -> None:
         ("decide-scale", decide_scale),
         ("dot-size5", dot_size5),
         ("proofs-size5", proofs_size5),
+        ("proofs-hard", proofs_hard),
     ):
         print(name, fn(), flush=True)
 

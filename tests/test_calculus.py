@@ -270,6 +270,20 @@ def test_prove_examples(logic, text, expected):
         assert check_proof(logic, tree, allow_cut=False) is None
 
 
+def test_prove_large_region_c7_sequent():
+    # criterion-7 sequent 3: the search closes a region of thousands of
+    # sequents and the proof is deep, unlike the small examples above
+    goal = parse_sequent("((((a|b)?.c)?.d)?.(b|c))?, ((((a|b)?.c)?.d)?.(b|c))?, a? |- (a|b|c|d)?")
+    tree = Prover(KLP).prove(goal)
+
+    def size(node):
+        return 1 + sum(size(p) for p in node.premises)
+
+    assert tree.conclusion == goal
+    assert size(tree) == 1844
+    assert check_proof(KLP, tree, allow_cut=False) is None
+
+
 def test_prove_prefers_small_proofs():
     tree = Prover(KLP).prove(parse_sequent("a |- a?"))
     assert tree.rule is RuleId.PLUS_Q

@@ -218,6 +218,21 @@ def test_check_unknown_rule_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"rule": ["Ax"], "conclusion": "a |- a", "premises": []}', "rule must be a string"),
+        ('{"rule": "Ax", "conclusion": 5, "premises": []}', "conclusion must be a string"),
+        ('{"rule": "Ax", "conclusion": null, "premises": []}', "conclusion must be a string"),
+    ],
+    ids=["rule-list", "conclusion-number", "conclusion-null"],
+)
+def test_check_non_string_field_exit_2(capsys, text, message):
+    code, out, err = run(capsys, "check", "--logic", "kl", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # --- translate ------------------------------------------------------------------
 
 

@@ -194,6 +194,7 @@ def test_equal_values_hash_equal(text):
         (Or(a, b), "left"),
         (Query(a), "body"),
         (Sequent((a,), b), "succedent"),
+        (Sequent((a,), b), "_hash"),
     ],
 )
 def test_fields_are_read_only(value, field):
@@ -216,6 +217,19 @@ def test_values_copy_and_pickle():
     s = parse_sequent("a, (b | 1)? |- a . 0")
     assert copy.deepcopy(s) == s
     assert pickle.loads(pickle.dumps(s)) == s
+
+
+@given(sequents())
+def test_sequent_hash_cache_is_invisible(s):
+    first = hash(s)  # fills the cache
+    assert first == hash(Sequent(s.antecedent, s.succedent))
+    table = {s: None}
+    assert hash(s) == first and Sequent(s.antecedent, s.succedent) in table
+    for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert copied == s and hash(copied) == hash(s)
+        assert repr(copied) == repr(s)
+    assert repr(s) == f"Sequent(antecedent={s.antecedent!r}, succedent={s.succedent!r})"
+    assert Sequent._fields == ("antecedent", "succedent")
 
 
 @given(st.text(alphabet="ab01|.?,()- \t", max_size=30))
