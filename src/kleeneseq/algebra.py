@@ -5,13 +5,15 @@ differ only in `?`, which kl reads as star (zero or more passes) and kl+ as
 plus (one or more passes), so terms share the formula AST of `syntax`.
 Concrete term syntax: `+`, `.`, postfix `*` in kl and `^` in kl+,
 constants `1`/`0`; postfix operators bind tightest, then `.`, then `+`.
+It is two of the spellings that `syntax` parses and prints; the term
+functions here only pick the spelling and the logic.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Callable, NamedTuple
 
+from . import syntax
 from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Var, Zero
 
 
@@ -69,137 +71,19 @@ def map_j(t: Term) -> Term:
 
 # --- concrete term syntax ----------------------------------------------------
 
-_PREC_PLUS = 1
-_PREC_DOT = 2
-_PREC_POSTFIX = 3
-
-_POSTFIX = {LogicId.KL: "*", LogicId.KL_PLUS: "^"}
-
-
-def _fmt(f: Formula, min_prec: int, postfix: str) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, One):
-        return "1"
-    if isinstance(f, Zero):
-        return "0"
-    if isinstance(f, Query):
-        return _fmt(f.body, _PREC_POSTFIX, postfix) + postfix
-    if isinstance(f, Or):
-        prec, op = _PREC_PLUS, "+"
-    elif isinstance(f, Fuse):
-        prec, op = _PREC_DOT, "."
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    text = _fmt(f.left, prec, postfix) + op + _fmt(f.right, prec + 1, postfix)
-    if prec < min_prec:
-        return "(" + text + ")"
-    return text
+_SPELLINGS = {LogicId.KL: syntax.STAR_TERMS, LogicId.KL_PLUS: syntax.PLUS_TERMS}
 
 
 def print_term(t: Term) -> str:
     """Compact rendering (no spaces); the term parsers invert it exactly."""
-    return _fmt(t.formula, 0, _POSTFIX[t.logic])
-
-
-class TermParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.message = message
-        self.position = position
-
-
-_TERM_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-
-
-class _TermParser:
-    """Recursive-descent parser; `postfix` is '*' or '^'."""
-
-    def __init__(self, text: str, postfix: str):
-        self.text = text
-        self.postfix = postfix
-        self.pos = 0
-        self._skip_ws()
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _eat(self, char: str) -> bool:
-        if self.pos < len(self.text) and self.text[self.pos] == char:
-            self.pos += 1
-            self._skip_ws()
-            return True
-        return False
-
-    def term(self) -> Formula:
-        f = self.product()
-        while self._eat("+"):
-            f = Or(f, self.product())
-        return f
-
-    def product(self) -> Formula:
-        f = self.iterated()
-        while self._eat("."):
-            f = Fuse(f, self.iterated())
-        return f
-
-    def iterated(self) -> Formula:
-        f = self.atom()
-        while True:
-            if self._eat(self.postfix):
-                f = Query(f)
-            elif self.pos < len(self.text) and self.text[self.pos] in "*^":
-                raise TermParseError(
-                    f"operator {self.text[self.pos]!r} is not part of this term family",
-                    self.pos,
-                )
-            else:
-                return f
-
-    def atom(self) -> Formula:
-        if self.pos >= len(self.text):
-            raise TermParseError("expected a term, found end of input", self.pos)
-        c = self.text[self.pos]
-        if c == "(":
-            self.pos += 1
-            self._skip_ws()
-            f = self.term()
-            if not self._eat(")"):
-                raise TermParseError("expected ')'", self.pos)
-            return f
-        if c == "1" or c == "0":
-            self.pos += 1
-            self._skip_ws()
-            return One() if c == "1" else Zero()
-        m = _TERM_IDENT_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            self._skip_ws()
-            return Var(m.group())
-        raise TermParseError(f"unexpected character {c!r}", self.pos)
-
-    def finish(self) -> None:
-        if self.pos < len(self.text):
-            raise TermParseError(
-                f"unexpected trailing input {self.text[self.pos]!r}", self.pos
-            )
-
-
-def _parse_term(text: str, logic: LogicId) -> Term:
-    if not text.strip():
-        raise TermParseError("empty input", 0)
-    p = _TermParser(text, _POSTFIX[logic])
-    f = p.term()
-    p.finish()
-    return Term(f, logic)
+    return syntax.print_as(t.formula, _SPELLINGS[t.logic])
 
 
 def parse_star_term(text: str) -> Term:
     """Parse syntax with `*` into a kl term."""
-    return _parse_term(text, LogicId.KL)
+    return Term(syntax.parse_as(text, syntax.STAR_TERMS), LogicId.KL)
 
 
 def parse_plus_term(text: str) -> Term:
     """Parse syntax with `^` into a kl+ term."""
-    return _parse_term(text, LogicId.KL_PLUS)
+    return Term(syntax.parse_as(text, syntax.PLUS_TERMS), LogicId.KL_PLUS)

@@ -202,7 +202,9 @@ def run(args: argparse.Namespace, logic: LogicId) -> int:
     """Execute one parsed command; returns the process exit status."""
     try:
         return _RUNNERS[args.command](args, logic)
-    except RecursionError:  # the parsers, printers and checker recurse on nesting
+    except RecursionError:
+        # the parsers keep their own stack, but the printers, the checker,
+        # json.loads and the formula walkers recurse on nesting
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except RuntimeError as e:

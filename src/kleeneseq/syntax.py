@@ -1,10 +1,14 @@
-"""Formulas and sequents: AST types, parser, and printer.
+"""Formulas and sequents: AST types, and the concrete syntax that reads and
+writes them both as formulas and as terms.
 
-Concrete syntax: `|` for disjunction, `.` for fusion, postfix `?`, the
-constants `1` and `0`, variables `[a-z][a-zA-Z0-9_]*`, `|-` as turnstile and
-`,` separating antecedent formulas.  `?` binds tightest, then `.`, then `|`;
-the binary operators associate to the left.  `LogicId` names the two logics,
-which differ in how `?` is read: as star (kl) or as plus (kl+).
+Formulas: `|` for disjunction, `.` for fusion, postfix `?`, the constants
+`1` and `0`, variables `[a-z][a-zA-Z0-9_]*`, `|-` as turnstile and `,`
+separating antecedent formulas.  `?` binds tightest, then `.`, then `|`; the
+binary operators associate to the left.  `LogicId` names the two logics,
+which differ in how `?` is read: as star (kl) or as plus (kl+).  Terms (see
+`algebra`) spell the same AST with `+` for `|` and postfix `*` (kl) or `^`
+(kl+) for `?`, and print without spaces.  One tokenizer, one parser and one
+printer serve all three spellings, and all of them raise `ParseError`.
 """
 
 from __future__ import annotations
@@ -236,178 +240,204 @@ def sequent_variables(s: Sequent) -> frozenset[str]:
     return vs
 
 
-# --- tokenizer -------------------------------------------------------------
-
-_PUNCT = {
-    "|": "or",
-    ".": "dot",
-    "?": "query",
-    "(": "lparen",
-    ")": "rparen",
-    ",": "comma",
-}
+# --- concrete syntax ---------------------------------------------------------
+#
+# One tokenizer, one parser and one printer serve three spellings of the
+# formula AST: formulas, and terms with `*` or with `^` for `?`.
 
 
-_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+class Spelling:
+    """How one concrete syntax spells the formula AST.
+
+    `noun` names what the parser expects: "formula" or "term".  `ops` gives
+    the printed form of each node class but `Var`; the parser reads the same
+    symbols without their spaces.  `roles` maps each symbol the syntax knows
+    to what it is to the parser: a node class, a parenthesis, or a symbol of
+    its own (`,` and `|-` in sequents, `foreign` for the other term family's
+    postfix operator).
+    """
+
+    __slots__ = ("noun", "ops", "roles")
+
+    def __init__(self, noun: str, ops: dict[type, str], extra: dict[str, str]):
+        self.noun = noun
+        self.ops = ops
+        self.roles = {text.strip(): cls for cls, text in ops.items()}
+        self.roles |= {"(": "(", ")": ")"} | extra
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
+_TERM_OPS = {Or: "+", Fuse: ".", One: "1", Zero: "0"}
+FORMULAS = Spelling(
+    "formula", {Or: " | ", Fuse: " . ", Query: "?", One: "1", Zero: "0"}, {",": ",", "|-": "|-"}
+)
+STAR_TERMS = Spelling("term", {**_TERM_OPS, Query: "*"}, {"^": "foreign"})
+PLUS_TERMS = Spelling("term", {**_TERM_OPS, Query: "^"}, {"*": "foreign"})
+
+# Binding strength of each operator node; None marks an open parenthesis.
+_PREC = {None: 0, Or: 1, Fuse: 2, Query: 3}
+
+# A token is an identifier, the turnstile (the one two-character symbol) or
+# any other single character but a space; spaces only separate tokens.
+_TOKEN_RE = re.compile(r"\s*([a-z][a-zA-Z0-9_]*|\|-|\S)")
+
+
+class _Tokens:
+    """The tokens of one text, ending with an end-of-input token "".
+
+    `values[i]` is the text of token i, and `kinds[i]` what it is to the
+    parser: its entry in `spelling.roles`, `Var` for an identifier, or False
+    for a symbol the spelling lacks.  Formulas reject the first such symbol
+    here, before parsing; the term syntaxes report it only when the parser
+    reaches it.  Positions are found again only for an error.
+    """
+
+    __slots__ = ("text", "spelling", "kinds", "values")
+
+    def __init__(self, text: str, spelling: Spelling):
+        values = _TOKEN_RE.findall(text)
+        if not values:
+            raise ParseError("empty input", 0)
+        roles = spelling.roles
+        kinds = [roles.get(v) or ("a" <= v[0] <= "z" and Var) for v in values]
+        self.text = text
+        self.spelling = spelling
+        if spelling.noun == "formula" and False in kinds:
+            i = kinds.index(False)
+            raise self.error(f"unexpected character {values[i]!r}", i)
+        self.kinds = kinds + [""]
+        self.values = values + [""]
+
+    def error(self, message: str, i: int) -> ParseError:
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        return ParseError(message, starts[i] if i < len(starts) else len(self.text))
+
+    def expected(self, what: str, i: int) -> ParseError:
+        found = repr(self.values[i]) if self.values[i] else "end of input"
+        return self.error(f"expected {what}, found {found}", i)
+
+    def finish(self, i: int) -> None:
+        value = self.values[i]
+        if value:
+            shown = value[0] if self.spelling.noun == "term" else value
+            raise self.error(f"unexpected trailing input {shown!r}", i)
+
+
+def _reduce(operands: list[Formula], pending: list, prec: int) -> None:
+    """Apply the pending infix nodes that bind at least as tightly as `prec`."""
+    while _PREC[pending[-1]] >= prec:
+        right = operands.pop()
+        operands[-1] = pending.pop()(operands[-1], right)
+
+
+def _parse(tokens: _Tokens, i: int) -> tuple[Formula, int]:
+    """Parse the formula that starts at token `i`; return it and the index of
+    the first token after it.
+
+    Operator precedence on explicit stacks (Pratt, POPL 1973), so nesting
+    depth costs no recursion: `operands` holds the subformulas read so far,
+    `pending` the infix node classes not yet applied, with a None for each
+    open parenthesis and one at the bottom.  The outer loop reads an operand,
+    the inner one what may follow it.  The term syntaxes name one character
+    of an unexpected token and word two messages their own way.
+    """
+    kinds, values, noun = tokens.kinds, tokens.values, tokens.spelling.noun
+    operands: list[Formula] = []
+    pending: list = [None]
+    depth = 0
+    term = noun == "term"
+    while True:
+        kind = kinds[i]
+        if kind is Var:
+            operands.append(Var(values[i]))
+        elif kind is One or kind is Zero:
+            operands.append(kind())
+        elif kind == "(":
+            pending.append(None)
+            depth += 1
             i += 1
             continue
-        if c == "|" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(("turnstile", "|-", i))
-            i += 2
-            continue
-        if c in _PUNCT:
-            tokens.append((_PUNCT[c], c, i))
+        elif term and values[i]:
+            raise tokens.error(f"unexpected character {values[i][0]!r}", i)
+        else:
+            raise tokens.expected(f"a {noun}", i)
+        i += 1
+        while True:
+            kind = kinds[i]
+            if kind is Query:
+                operands[-1] = Query(operands[-1])
+            elif kind == ")" and depth:
+                _reduce(operands, pending, 1)
+                pending.pop()
+                depth -= 1
+            elif kind is Or or kind is Fuse:
+                _reduce(operands, pending, _PREC[kind])
+                pending.append(kind)
+                i += 1
+                break
+            elif kind == "foreign":
+                raise tokens.error(f"operator {values[i]!r} is not part of this term family", i)
+            elif depth:
+                raise tokens.error("expected ')'", i) if term else tokens.expected("rparen", i)
+            else:
+                _reduce(operands, pending, 1)
+                return operands[0], i
             i += 1
-            continue
-        if c == "1" or c == "0":
-            tokens.append(("const", c, i))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            found = repr(tok[1]) if tok[1] else "end of input"
-            raise ParseError(f"expected {kind}, found {found}", tok[2])
-        return self.advance()
-
-    # formula := fuse ('|' fuse)*      (left-associated)
-    def formula(self) -> Formula:
-        f = self.fuse()
-        while self.peek()[0] == "or":
-            self.advance()
-            f = Or(f, self.fuse())
-        return f
-
-    # fuse := query ('.' query)*
-    def fuse(self) -> Formula:
-        f = self.query()
-        while self.peek()[0] == "dot":
-            self.advance()
-            f = Fuse(f, self.query())
-        return f
-
-    # query := atom '?'*
-    def query(self) -> Formula:
-        f = self.atom()
-        while self.peek()[0] == "query":
-            self.advance()
-            f = Query(f)
-        return f
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "ident":
-            self.advance()
-            return Var(value)
-        if kind == "const":
-            self.advance()
-            return One() if value == "1" else Zero()
-        if kind == "lparen":
-            self.advance()
-            f = self.formula()
-            self.expect("rparen")
-            return f
-        found = repr(value) if value else "end of input"
-        raise ParseError(f"expected a formula, found {found}", pos)
-
-    def sequent(self) -> Sequent:
-        antecedent: list[Formula] = []
-        if self.peek()[0] != "turnstile":
-            antecedent.append(self.formula())
-            while self.peek()[0] == "comma":
-                self.advance()
-                antecedent.append(self.formula())
-        self.expect("turnstile")
-        succedent = self.formula()
-        return Sequent(tuple(antecedent), succedent)
-
-    def finish(self) -> None:
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", pos)
-
-
-def parse_formula(text: str) -> Formula:
-    if not text.strip():
-        raise ParseError("empty input", 0)
-    p = _Parser(text)
-    f = p.formula()
-    p.finish()
+def parse_as(text: str, spelling: Spelling) -> Formula:
+    """Parse the whole of `text` as one formula written in `spelling`."""
+    tokens = _Tokens(text, spelling)
+    f, i = _parse(tokens, 0)
+    tokens.finish(i)
     return f
 
 
+def parse_formula(text: str) -> Formula:
+    return parse_as(text, FORMULAS)
+
+
 def parse_sequent(text: str) -> Sequent:
-    if not text.strip():
-        raise ParseError("empty input", 0)
-    p = _Parser(text)
-    s = p.sequent()
-    p.finish()
-    return s
+    tokens = _Tokens(text, FORMULAS)
+    kinds = tokens.kinds
+    antecedent: list[Formula] = []
+    i = 0
+    if kinds[0] != "|-":
+        f, i = _parse(tokens, 0)
+        antecedent.append(f)
+        while kinds[i] == ",":
+            f, i = _parse(tokens, i + 1)
+            antecedent.append(f)
+    if kinds[i] != "|-":
+        raise tokens.expected("turnstile", i)
+    succedent, i = _parse(tokens, i + 1)
+    tokens.finish(i)
+    return Sequent(tuple(antecedent), succedent)
 
 
-# --- printer ---------------------------------------------------------------
-
-_PREC_OR = 1
-_PREC_FUSE = 2
-_PREC_QUERY = 3
-
-
-def _fmt(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Var):
+def _fmt(f: Formula, min_prec: int, ops: dict[type, str]) -> str:
+    cls = f.__class__
+    if cls is Var:
         return f.name
-    if isinstance(f, One):
-        return "1"
-    if isinstance(f, Zero):
-        return "0"
-    if isinstance(f, Query):
-        return _fmt(f.body, _PREC_QUERY) + "?"
-    if isinstance(f, Or):
-        prec, op = _PREC_OR, " | "
-    elif isinstance(f, Fuse):
-        prec, op = _PREC_FUSE, " . "
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    # left-associated: the right child needs parens at equal precedence
-    text = _fmt(f.left, prec) + op + _fmt(f.right, prec + 1)
-    if prec < min_prec:
-        return "(" + text + ")"
-    return text
+    if cls is Query:
+        return _fmt(f.body, _PREC[Query], ops) + ops[Query]
+    if cls is Or or cls is Fuse:
+        prec = _PREC[cls]
+        # left-associated: the right child needs parens at equal precedence
+        text = _fmt(f.left, prec, ops) + ops[cls] + _fmt(f.right, prec + 1, ops)
+        return "(" + text + ")" if prec < min_prec else text
+    if cls is One or cls is Zero:
+        return ops[cls]
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def print_as(f: Formula, spelling: Spelling) -> str:
+    """Minimal-parenthesis rendering in `spelling`; `parse_as` inverts it
+    exactly."""
+    return _fmt(f, 0, spelling.ops)
 
 
 def print_formula(f: Formula) -> str:
-    """Minimal-parenthesis rendering; parse_formula inverts it exactly."""
-    return _fmt(f, 0)
+    return print_as(f, FORMULAS)
 
 
 def print_sequent(s: Sequent) -> str:

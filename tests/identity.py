@@ -1,4 +1,4 @@
-"""Print the five identity hashes that pin the outputs of a change.
+"""Print the six identity hashes that pin the outputs of a change.
 
 Run from the repository root (pytest does not collect this file):
 
@@ -15,20 +15,29 @@ Each line is a name and the SHA-256 of one output stream, logic outer:
 - proofs-size5: `tree_to_json` of the proof that one tabled `Prover` per
   logic finds for every sequent up to size 5, `null` where there is none;
 - proofs-hard: the same for the four criterion-7 sequents, each proved by a
-  fresh `Prover`, so that large search regions are pinned too.
+  fresh `Prover`, so that large search regions are pinned too;
+- syntax: one line per input of each parser, the `repr` of what it returns or
+  the `(message, position)` of its `ParseError`, for `parse_formula` and
+  `parse_sequent` on every string of length <= 4 over `FORMULA_CHARS` and
+  for `parse_star_term` and `parse_plus_term` on every such string over
+  `TERM_CHARS`; then `print_formula` of every formula up to size 5, and
+  `print_term` of the same formulas in each logic.
 
-A change that keeps verdicts, counterexamples, automata and proof trees
-keeps all five hashes.  The whole run takes under a minute.
+A change that keeps verdicts, counterexamples, automata, proof trees, parse
+results, parse errors and printed text keeps all six hashes.  The whole run
+takes about a minute.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import product
 
+from kleeneseq.algebra import Term, parse_plus_term, parse_star_term, print_term
 from kleeneseq.automata import decide, decision_automata, to_dot
 from kleeneseq.calculus import Prover, tree_to_json
 from kleeneseq.oracle import enumerate_sequents
-from kleeneseq.syntax import LogicId, parse_sequent
+from kleeneseq.syntax import LogicId, parse_formula, parse_sequent, print_formula
 
 AB = {"a", "b"}
 
@@ -39,6 +48,10 @@ HARD_TEXTS = (
     "((((a|b)?.c)?.d)?.(b|c))?, ((((a|b)?.c)?.d)?.(b|c))?, a? |- (a|b|c|d)?",
     "(a|b|c|d)?, (d?.c?.b?.a?)?, ((a.b)?.(c.d)?)? |- (((a|b|c|d)?)? . 1)?",
 )
+
+# Each syntax's symbols, a space, and characters foreign to it.
+FORMULA_CHARS = "ab01|-.?,() *$"
+TERM_CHARS = "ab01+.*^() ?|$"
 
 
 def _decide_scale_texts() -> list[str]:
@@ -108,6 +121,30 @@ def proofs_hard() -> str:
     return _digest(_tree_json(Prover(logic), s) for logic in LogicId for s in sequents)
 
 
+def _parse_outcomes(parse, chars: str):
+    for n in range(5):
+        for letters in product(chars, repeat=n):
+            try:
+                outcome = parse("".join(letters))
+            except ValueError as e:  # ParseError; older trees had a term error class too
+                outcome = (e.message, e.position)
+            yield repr(outcome) + "\n"
+
+
+def syntax() -> str:
+    formulas = [s.succedent for s in enumerate_sequents(AB, 5) if not s.antecedent]
+    return _digest(
+        [
+            *_parse_outcomes(parse_formula, FORMULA_CHARS),
+            *_parse_outcomes(parse_sequent, FORMULA_CHARS),
+            *_parse_outcomes(parse_star_term, TERM_CHARS),
+            *_parse_outcomes(parse_plus_term, TERM_CHARS),
+            *(print_formula(f) + "\n" for f in formulas),
+            *(print_term(Term(f, logic)) + "\n" for logic in LogicId for f in formulas),
+        ]
+    )
+
+
 def main() -> None:
     for name, fn in (
         ("decide-size6", decide_size6),
@@ -115,6 +152,7 @@ def main() -> None:
         ("dot-size5", dot_size5),
         ("proofs-size5", proofs_size5),
         ("proofs-hard", proofs_hard),
+        ("syntax", syntax),
     ):
         print(name, fn(), flush=True)
 

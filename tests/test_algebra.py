@@ -4,7 +4,7 @@ from hypothesis import given
 from kleeneseq import algebra as alg
 from kleeneseq import automata, oracle
 from kleeneseq.calculus import LogicId, Prover
-from kleeneseq.syntax import Sequent, parse_formula, parse_sequent
+from kleeneseq.syntax import ParseError, Sequent, parse_formula, parse_sequent
 from strategies import plus_terms, star_terms
 
 KL, KLP = LogicId.KL, LogicId.KL_PLUS
@@ -127,7 +127,7 @@ def test_print_term():
     ],
 )
 def test_parse_term_rejects(parse, text):
-    with pytest.raises(alg.TermParseError):
+    with pytest.raises(ParseError):
         parse(text)
 
 

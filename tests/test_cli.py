@@ -61,7 +61,9 @@ def test_decide_parse_error_exit_2(capsys):
 
 
 def test_decide_deeply_nested_formula_exit_2(capsys):
-    text = "(" * 300 + "a" + ")" * 300 + " |- a"
+    # parses (the parser keeps its own stack), but `decide` walks the
+    # 2,001-deep formula recursively
+    text = "a" + "?" * 2000 + " |- a"
     code, out, err = run(capsys, "decide", "--logic", "kl", text)
     assert (code, out) == (2, "")
     assert err == "error: input nested too deeply\n"

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kleeneseq.algebra import Term, parse_plus_term, parse_star_term
 from kleeneseq.syntax import (
     Formula,
     Fuse,
+    LogicId,
     One,
     Or,
     ParseError,
@@ -111,6 +113,73 @@ def test_parse_error_carries_position():
         parse_formula("a | *")
     assert exc.value.position == 4
     assert "position 4" in str(exc.value)
+
+
+# Each message of both syntaxes, with the position it reports.  Formulas
+# reject an unknown character before parsing and quote a whole unexpected
+# token; terms report an unknown character only when they reach it and quote
+# one character.
+PARSERS = {
+    f.__name__: f for f in (parse_formula, parse_sequent, parse_star_term, parse_plus_term)
+}
+ERRORS = [
+    ("parse_formula", "", "empty input", 0),
+    ("parse_sequent", " \t", "empty input", 0),
+    ("parse_formula", "a | *", "unexpected character '*'", 4),
+    ("parse_formula", ") a $", "unexpected character '$'", 4),
+    ("parse_sequent", "a, b + c |- ", "unexpected character '+'", 5),
+    ("parse_formula", "(a", "expected rparen, found end of input", 2),
+    ("parse_formula", "((a) b", "expected rparen, found 'b'", 5),
+    ("parse_sequent", "a b |- a", "expected turnstile, found 'b'", 2),
+    ("parse_sequent", "a ", "expected turnstile, found end of input", 2),
+    ("parse_formula", "a |", "expected a formula, found end of input", 3),
+    ("parse_formula", "a | )", "expected a formula, found ')'", 4),
+    ("parse_sequent", "a, |- b", "expected a formula, found '|-'", 3),
+    ("parse_formula", "a |- b", "unexpected trailing input '|-'", 2),
+    ("parse_sequent", "|- a bc", "unexpected trailing input 'bc'", 5),
+    ("parse_star_term", " ", "empty input", 0),
+    ("parse_star_term", "a + ?", "unexpected character '?'", 4),
+    ("parse_plus_term", "a+)", "unexpected character ')'", 2),
+    ("parse_star_term", ") $", "unexpected character ')'", 0),
+    ("parse_star_term", "a) $", "unexpected trailing input ')'", 1),
+    ("parse_star_term", "(a $", "expected ')'", 3),
+    ("parse_plus_term", "(a", "expected ')'", 2),
+    ("parse_star_term", "a+ ", "expected a term, found end of input", 3),
+    ("parse_star_term", "a^", "operator '^' is not part of this term family", 1),
+    ("parse_plus_term", "(a) *", "operator '*' is not part of this term family", 4),
+    ("parse_star_term", "a bc", "unexpected trailing input 'b'", 2),
+    ("parse_plus_term", "a|-b", "unexpected trailing input '|'", 1),
+]
+
+
+@pytest.mark.parametrize("entry,text,message,position", ERRORS)
+def test_parse_error_table(entry, text, message, position):
+    with pytest.raises(ValueError) as exc:
+        PARSERS[entry](text)
+    assert (exc.value.message, exc.value.position) == (message, position)
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
+def _left_spine(f):
+    """The leftmost non-fusion and the right operands of a left-nested chain."""
+    rights = []
+    while isinstance(f, Fuse):
+        rights.append(f.right)
+        f = f.left
+    return f, rights
+
+
+def test_parsers_keep_their_own_stack():
+    depth = 5_000
+    nested = "(" * depth + "a" + ")" * depth
+    assert parse_formula(nested) == a
+    assert parse_sequent(f"{nested}, {nested} |- {nested}") == Sequent((a, a), a)
+    assert parse_star_term(nested) == Term(a, LogicId.KL)
+    chain = ".".join(["a?"] * depth)
+    s = parse_sequent(f"{chain} |- {chain}")
+    t = parse_star_term(chain.replace("?", "*"))
+    for f in (parse_formula(chain), s.antecedent[0], s.succedent, t.formula):
+        assert _left_spine(f) == (Query(a), [Query(a)] * (depth - 1))
 
 
 def _all_formulas(size, names=("a", "b")):
