@@ -93,24 +93,11 @@ _SEARCH_ORDER = {
 RULES_OF = {logic: frozenset(order) for logic, order in _SEARCH_ORDER.items()}
 
 
-class RuleApp(Value):
-    """One backward instance of a rule at a goal sequent.  Instances compare
-    by identity."""
-
-    __slots__ = _fields = ("rule", "premises")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(self, rule: RuleId, premises: tuple[Sequent, ...]):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "premises", premises)
-
-
-def _rule_instances(rule: RuleId, goal: Sequent, for_search: bool) -> list[RuleApp]:
-    """Every instance of `rule` whose conclusion is `goal`, with its premises.
+def _rule_instances(rule: RuleId, goal: Sequent, for_search: bool) -> list[tuple[Sequent, ...]]:
+    """The premise tuple of every instance of `rule` whose conclusion is `goal`.
 
     This is the only statement of the non-Cut rules: search reads it
-    backward and the checker matches a node's premises against it.  Each
+    backward and the checker looks a node's premises up in it.  Each
     schema is noted as `conclusion <= premises`, with G, D, T for sequences
     of formulas.
 
@@ -119,10 +106,10 @@ def _rule_instances(rule: RuleId, goal: Sequent, for_search: bool) -> list[RuleA
     nothing to backward search); the checker accepts it.
     """
     ante, succ = goal.antecedent, goal.succedent
-    out: list[RuleApp] = []
+    out: list[tuple[Sequent, ...]] = []
 
     def emit(*premises: Sequent) -> None:
-        out.append(RuleApp(rule, premises))
+        out.append(premises)
 
     R = RuleId
     if rule is R.AX:
@@ -214,20 +201,18 @@ def _rule_instances(rule: RuleId, goal: Sequent, for_search: bool) -> list[RuleA
             hi = len(ante) if for_search else len(ante) + 1
             for k in range(hi):
                 emit(Sequent(ante[k:], succ.body), Sequent(ante[:k], succ))
-    elif rule is R.CUT:
-        raise ValueError("Cut has no backward instances; it is check-only")
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
     return out
 
 
-def applicable_rules(logic: LogicId, goal: Sequent) -> list[RuleApp]:
-    """All backward instances of the logic's non-Cut rules at `goal`,
-    in search order.  Closure rules carry empty premise tuples."""
-    out: list[RuleApp] = []
-    for rule in _SEARCH_ORDER[logic]:
-        out.extend(_rule_instances(rule, goal, for_search=True))
-    return out
+def applicable_rules(logic: LogicId, goal: Sequent) -> list[tuple[RuleId, tuple[Sequent, ...]]]:
+    """A `(rule, premises)` pair for every backward instance of the logic's
+    non-Cut rules at `goal`, in search order.  Closure rules carry empty
+    premise tuples."""
+    return [
+        (rule, premises)
+        for rule in _SEARCH_ORDER[logic]
+        for premises in _rule_instances(rule, goal, for_search=True)
+    ]
 
 
 # --- proof trees -------------------------------------------------------------
@@ -291,16 +276,14 @@ def tree_from_json(text: str) -> ProofTree:
     return tree_from_json_dict(json.loads(text))
 
 
-def render_tree(tree: ProofTree, indent: str = "  ") -> str:
+def render_tree(tree: ProofTree) -> str:
     """Indented one-node-per-line rendering, premises below conclusions."""
     lines: list[str] = []
-
-    def walk(node: ProofTree, depth: int) -> None:
-        lines.append(f"{indent * depth}{print_sequent(node.conclusion)}   [{node.rule.value}]")
-        for p in node.premises:
-            walk(p, depth + 1)
-
-    walk(tree, 0)
+    stack = [(tree, "")]
+    while stack:
+        node, pad = stack.pop()
+        lines.append(f"{pad}{print_sequent(node.conclusion)}   [{node.rule.value}]")
+        stack.extend((p, pad + "  ") for p in reversed(node.premises))
     return "\n".join(lines)
 
 
@@ -325,9 +308,11 @@ class Violation(Value):
 
 def check_proof(logic: LogicId, tree: ProofTree, allow_cut: bool = False) -> Violation | None:
     """None if every node is a correct instance of a rule of `logic`
-    (Cut nodes accepted only under allow_cut); else the first violation."""
-
-    def check_node(node: ProofTree, path: tuple[int, ...]) -> Violation | None:
+    (Cut nodes accepted only under allow_cut); else the first violation,
+    in pre-order."""
+    stack: list[tuple[ProofTree, tuple[int, ...]]] = [(tree, ())]
+    while stack:
+        node, path = stack.pop()
         rule = node.rule
         if rule is RuleId.CUT:
             if not allow_cut:
@@ -339,13 +324,8 @@ def check_proof(logic: LogicId, tree: ProofTree, allow_cut: bool = False) -> Vio
             return Violation(
                 path, rule, "no instantiation of the rule fits conclusion and premises"
             )
-        for i, p in enumerate(node.premises):
-            v = check_node(p, path + (i,))
-            if v is not None:
-                return v
-        return None
-
-    return check_node(tree, ())
+        stack.extend((node.premises[i], path + (i,)) for i in reversed(range(len(node.premises))))
+    return None
 
 
 def _matches_some_instance(
@@ -366,10 +346,7 @@ def _matches_some_instance(
                 if conclusion.antecedent == gamma + theta + delta:
                     return True
         return False
-    for app in _rule_instances(rule, conclusion, for_search=False):
-        if app.premises == children:
-            return True
-    return False
+    return children in _rule_instances(rule, conclusion, for_search=False)
 
 
 # --- backward proof search ---------------------------------------------------
@@ -418,8 +395,8 @@ class Prover:
             if s in apps or s in status:
                 continue
             instances = apps[s] = []
-            for app in applicable_rules(self.logic, s):
-                premises = tuple([canon.setdefault(p, p) for p in app.premises])
+            for _, premises in applicable_rules(self.logic, s):
+                premises = tuple([canon.setdefault(p, p) for p in premises])
                 instances.append(premises)
                 for p in premises:
                     if p not in apps and p not in status:
@@ -470,17 +447,12 @@ class Prover:
                 status[s] = _REFUTED
 
     def _build(self, s: Sequent) -> ProofTree:
-        # any instance whose premises were all proven strictly earlier is a
-        # valid justification; take the first in search order
-        tick = self._status[s]
-        for app in applicable_rules(self.logic, s):
-            usable = True
-            for p in app.premises:
-                st = self._status.get(p)
-                if st is None or st == _REFUTED or st >= tick:
-                    usable = False
-                    break
-            if usable:
-                return ProofTree(s, app.rule, tuple(self._build(p) for p in app.premises))
+        """The proof of proven `s` from the first `(rule, premises)` pair in
+        search order whose premises were all proven strictly earlier (ticks
+        start at 1; a refuted or unknown premise has none)."""
+        status = self._status
+        tick = status[s]
+        for rule, premises in applicable_rules(self.logic, s):
+            if all(0 < status.get(p, 0) < tick for p in premises):
+                return ProofTree(s, rule, tuple(self._build(p) for p in premises))
         raise AssertionError(f"no justification recorded for {print_sequent(s)}")
-

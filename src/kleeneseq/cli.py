@@ -225,7 +225,10 @@ def run(args: argparse.Namespace, logic: LogicId) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value

@@ -1,8 +1,12 @@
-"""Print the six identity hashes that pin the outputs of a change.
+"""Compute the six identity hashes that pin the outputs of a change.
 
 Run from the repository root (pytest does not collect this file):
 
     PYTHONPATH=src python tests/identity.py
+
+It prints one line per hash and exits 0 when all six equal `EXPECTED`, or 1
+after naming on stderr each one that differs.  A change that alters one of
+these outputs on purpose updates `EXPECTED` and says why.
 
 Each line is a name and the SHA-256 of one output stream, logic outer:
 
@@ -31,6 +35,7 @@ takes about a minute.
 from __future__ import annotations
 
 import hashlib
+import sys
 from itertools import product
 
 from kleeneseq.algebra import Term, parse_plus_term, parse_star_term, print_term
@@ -145,7 +150,18 @@ def syntax() -> str:
     )
 
 
-def main() -> None:
+EXPECTED = {
+    "decide-size6": "83b0706564dd2ceeaac1c907bff4ca7943a474a83072bdf5cc3216a2fb6496e2",
+    "decide-scale": "9765545534643b83f1274d59f24074379e6c431de628b29c70fea1788ed788a5",
+    "dot-size5": "7543739d358b7674869978d658bec09d09bd749762c5632354ddad28ac861b30",
+    "proofs-size5": "aa5b6a97b89c62e5bbaeb2e8b22c92526f23c6524005fd5c29948f10a3ac94b3",
+    "proofs-hard": "9a32944992a04354a5c14764cbedae6682ee64f8756cce44004587946cc2bf02",
+    "syntax": "1858294bf7dc85d9ad02fd709ac6db765af66c38642eba1fb8760946171caf6c",
+}
+
+
+def main() -> int:
+    differ = []
     for name, fn in (
         ("decide-size6", decide_size6),
         ("decide-scale", decide_scale),
@@ -154,8 +170,14 @@ def main() -> None:
         ("proofs-hard", proofs_hard),
         ("syntax", syntax),
     ):
-        print(name, fn(), flush=True)
+        got = fn()
+        print(name, got, flush=True)
+        if got != EXPECTED[name]:
+            differ.append(name)
+    for name in differ:
+        print(f"{name} differs: expected {EXPECTED[name]}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

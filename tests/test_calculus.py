@@ -36,17 +36,15 @@ def node(rule, text, *children):
 
 def test_axiom_query_only_in_kl():
     goal = parse_sequent("|- a?")
-    kl_rules = {app.rule for app in applicable_rules(KL, goal)}
-    klp_apps = applicable_rules(KLP, goal)
+    kl_rules = {rule for rule, _ in applicable_rules(KL, goal)}
     assert RuleId.AX_Q in kl_rules
-    assert all(app.rule is RuleId.PLUS_Q for app in klp_apps)
-    assert [app.premises for app in klp_apps] == [(parse_sequent("|- a"),)]
+    assert applicable_rules(KLP, goal) == [(RuleId.PLUS_Q, (parse_sequent("|- a"),))]
 
 
 def test_fuse_right_splits():
     goal = parse_sequent("a, b |- a . b")
     splits = [
-        app.premises for app in applicable_rules(KL, goal) if app.rule is RuleId.FUSE_R
+        premises for rule, premises in applicable_rules(KL, goal) if rule is RuleId.FUSE_R
     ]
     assert (parse_sequent("a |- a"), parse_sequent("b |- b")) in splits
     assert len(splits) == 3  # every cut point of the antecedent
@@ -59,8 +57,8 @@ def test_closure_rules_report_empty_premises():
         ("b, 0 |- a", RuleId.ZERO_L),
         ("|- a?", RuleId.AX_Q),
     ]:
-        apps = [a for a in applicable_rules(KL, parse_sequent(text)) if a.rule is rule]
-        assert apps and all(a.premises == () for a in apps)
+        found = [p for r, p in applicable_rules(KL, parse_sequent(text)) if r is rule]
+        assert found and all(premises == () for premises in found)
 
 
 def test_no_rule_applies_to_interior_query_with_atomic_succedent():
@@ -69,19 +67,17 @@ def test_no_rule_applies_to_interior_query_with_atomic_succedent():
 
 def test_dist_requires_shared_left_factor():
     assert any(
-        app.rule is RuleId.DIST
-        for app in applicable_rules(KL, parse_sequent("|- a.b | a.c"))
+        rule is RuleId.DIST for rule, _ in applicable_rules(KL, parse_sequent("|- a.b | a.c"))
     )
     assert not any(
-        app.rule is RuleId.DIST
-        for app in applicable_rules(KL, parse_sequent("|- a.b | b.c"))
+        rule is RuleId.DIST for rule, _ in applicable_rules(KL, parse_sequent("|- a.b | b.c"))
     )
 
 
 def test_query_right_splits_never_repeat_the_goal():
     goal = parse_sequent("a? |- a?")
-    for app in applicable_rules(KL, goal):
-        assert goal not in app.premises
+    for _, premises in applicable_rules(KL, goal):
+        assert goal not in premises
 
 
 @given(sequents())
@@ -98,15 +94,15 @@ def test_premises_shrink_except_bounded_left_query_resets(s):
     }
     closure = {g for f in (*s.antecedent, s.succedent) for g in subformulas(f)}
     for logic in (KL, KLP):
-        for app in applicable_rules(logic, s):
-            for i, premise in enumerate(app.premises):
-                if app.rule in reset_rules and i == 0:
+        for rule, premises in applicable_rules(logic, s):
+            for i, premise in enumerate(premises):
+                if rule in reset_rules and i == 0:
                     assert all(f in closure for f in premise.antecedent)
                     assert premise.succedent in closure
                 else:
                     assert sequent_size(premise) < sequent_size(s), (
                         logic,
-                        app.rule,
+                        rule,
                         print_sequent(s),
                         print_sequent(premise),
                     )
@@ -117,7 +113,7 @@ def test_rule_instances_match_oracle_expansions():
     independently.  Both must propose the same premise tuples at every goal."""
     for logic in (KL, KLP):
         for s in oracle.enumerate_sequents({"a", "b"}, 5):
-            ours = {app.premises for app in applicable_rules(logic, s)}
+            ours = {premises for _, premises in applicable_rules(logic, s)}
             theirs = {tuple(premises) for premises in oracle._expansions(logic, s)}
             assert ours == theirs, (logic, print_sequent(s))
 
@@ -186,6 +182,30 @@ def test_check_rejects_schema_mismatch():
     assert "instantiation" in violation.reason or "premises" in violation.reason
 
 
+def test_check_rejects_premises_in_the_wrong_order():
+    fuse = node(
+        RuleId.FUSE_R, "a, b |- a . b", leaf(RuleId.AX, "b |- b"), leaf(RuleId.AX, "a |- a")
+    )
+    left = node(RuleId.OR_R1, "a |- a | b", leaf(RuleId.AX, "a |- a"))
+    right = node(RuleId.OR_R2, "b |- a | b", leaf(RuleId.AX, "b |- b"))
+    assert check_proof(KL, node(RuleId.OR_L, "a | b |- a | b", left, right)) is None
+    swapped = node(RuleId.OR_L, "a | b |- a | b", right, left)
+    for logic in (KL, KLP):
+        for tree in (fuse, swapped):
+            violation = check_proof(logic, tree)
+            assert violation is not None and violation.path == (), (logic, tree.rule)
+
+
+def test_deep_cut_chain_checks_and_renders():
+    tree = leaf(RuleId.AX, "a |- a")
+    for _ in range(1500):
+        tree = node(RuleId.CUT, "a |- a", tree, leaf(RuleId.AX, "a |- a"))
+    assert check_proof(KL, tree, allow_cut=True) is None
+    lines = render_tree(tree).splitlines()
+    assert len(lines) == 3001
+    assert lines[1500] == " " * 3000 + "a |- a   [Ax]"
+
+
 def test_check_reports_deep_violation_path():
     tree = node(
         RuleId.OR_L,
@@ -195,6 +215,11 @@ def test_check_reports_deep_violation_path():
     )
     violation = check_proof(KL, tree)
     assert violation is not None and violation.path == (1,)
+    # the first violation in pre-order wins: (0, 0) comes before (1,)
+    cut = node(RuleId.CUT, "a |- a", tree.premises[1], leaf(RuleId.AX, "a |- a"))
+    tree = node(RuleId.OR_L, "a | a |- a", cut, tree.premises[1])
+    violation = check_proof(KL, tree, allow_cut=True)
+    assert violation is not None and violation.path == (0, 0)
 
 
 def test_check_rejects_leaf_claiming_a_unary_rule():
@@ -393,12 +418,10 @@ def test_flatten_preserves_derivability_small():
                 )
 
 
-def test_trees_and_rule_instances_compare_by_identity():
+def test_trees_compare_by_identity():
     x, y = leaf(RuleId.AX, "a |- a"), leaf(RuleId.AX, "a |- a")
     assert x != y and x == x
     assert len({x, y}) == 2
-    goal = parse_sequent("a |- a | b")
-    assert applicable_rules(KL, goal)[0] != applicable_rules(KL, goal)[0]
     with pytest.raises(AttributeError):
         x.rule = RuleId.CUT
 

@@ -321,12 +321,15 @@ def test_both_inline_and_file_rejected(capsys, tmp_path):
         ("crossval", "--max-size", "0"),
         ("crossval", "--max-len", "-3"),
         ("decide", "--logic", "kl", "--state-cap", "0", "a |- a"),
+        ("decide", "--logic", "kl", "--state-cap", "abc", "a |- a"),
+        ("crossval", "--max-size", "x"),
     ],
 )
 def test_nonpositive_bounds_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
 
 
 def test_missing_file_exit_2(capsys):
