@@ -446,13 +446,29 @@ class Prover:
             if status.get(s) is None:
                 status[s] = _REFUTED
 
-    def _build(self, s: Sequent) -> ProofTree:
-        """The proof of proven `s` from the first `(rule, premises)` pair in
-        search order whose premises were all proven strictly earlier (ticks
-        start at 1; a refuted or unknown premise has none)."""
+    def _build(self, goal: Sequent) -> ProofTree:
+        """The proof of proven `goal`.  Each node uses the first `(rule,
+        premises)` pair in search order whose premises were all proven
+        strictly earlier (ticks start at 1; a refuted or unknown premise has
+        none).
+
+        One explicit stack lists the nodes in pre-order; the trees are then
+        built in reverse, each node taking its premises' trees off `built`.
+        """
         status = self._status
-        tick = status[s]
-        for rule, premises in applicable_rules(self.logic, s):
-            if all(0 < status.get(p, 0) < tick for p in premises):
-                return ProofTree(s, rule, tuple(self._build(p) for p in premises))
-        raise AssertionError(f"no justification recorded for {print_sequent(s)}")
+        nodes: list[tuple[Sequent, RuleId, int]] = []
+        stack = [goal]
+        while stack:
+            s = stack.pop()
+            tick = status[s]
+            for rule, premises in applicable_rules(self.logic, s):
+                if all(0 < status.get(p, 0) < tick for p in premises):
+                    break
+            else:
+                raise AssertionError(f"no justification recorded for {print_sequent(s)}")
+            nodes.append((s, rule, len(premises)))
+            stack.extend(reversed(premises))
+        built: list[ProofTree] = []
+        for s, rule, n in reversed(nodes):
+            built.append(ProofTree(s, rule, tuple([built.pop() for _ in range(n)])))
+        return built[0]

@@ -203,8 +203,11 @@ def run(args: argparse.Namespace, logic: LogicId) -> int:
     try:
         return _RUNNERS[args.command](args, logic)
     except RecursionError:
-        # the parsers keep their own stack, but the printers, the checker,
-        # json.loads and the formula walkers recurse on nesting
+        # parsing, hashing, proof search and tree walks keep their own
+        # stack, but the formula printer (`syntax._fmt`), `json`, the
+        # proof-tree JSON converters, `formula_variables`/`formula_size`,
+        # `compile`'s two walks, `algebra._map_queries` and `==` on formulas
+        # that share no nodes recurse on nesting
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except RuntimeError as e:

@@ -40,7 +40,8 @@ class Value:
     they have the same class and equal field tuples, and equal instances hash
     equal.  The formula and sequent classes, whose hashing and comparison the
     prover runs on every table lookup, spell out `__eq__` and `__hash__` on
-    their own fields instead of going through `_values`.  A subclass may add
+    their own fields instead of going through `_values`; all but `Zero` and
+    `One` keep the hash of their field tuple in a slot.  A subclass may add
     derived slots after its fields in `__slots__`; they take no part in
     equality, `repr` or pickling.
     """
@@ -80,14 +81,24 @@ class Value:
 # `Value`, the prover-heavy sweep benchmark ran ~5% fewer queries per second.
 # A method shared by two classes reads its fields at call sites that see both,
 # which the interpreter's per-site attribute caches handle more slowly (~20%
-# slower `==` on formulas).  Of these classes only `Sequent` caches its hash.
+# slower `==` on formulas).  `Var`, `Or`, `Fuse` and `Query` store the hash of
+# their field tuple in the derived slot `_hash` when they are built: the
+# children's hashes are stored already, so a node's costs O(1) and hashing
+# never recurses on depth.  `Zero` and `One` have no fields to hash.  The
+# parser, `interpret_sequent` and the sequent enumeration build nodes in bulk,
+# so their `__init__`s call `object.__setattr__` through one module-level name
+# (a `Fuse` build measured ~14% faster than through the attribute lookup).
+
+_set = object.__setattr__
 
 
 class Var(Value):
-    __slots__ = _fields = ("name",)
+    _fields = ("name",)
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        _set(self, "name", name)
+        _set(self, "_hash", hash((name,)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -95,7 +106,7 @@ class Var(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.name,))
+        return self._hash
 
 
 class Zero(Value):
@@ -123,11 +134,13 @@ class One(Value):
 
 
 class Or(Value):
-    __slots__ = _fields = ("left", "right")
+    _fields = ("left", "right")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((left, right)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -135,15 +148,17 @@ class Or(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.left, self.right))
+        return self._hash
 
 
 class Fuse(Value):
-    __slots__ = _fields = ("left", "right")
+    _fields = ("left", "right")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((left, right)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -151,14 +166,16 @@ class Fuse(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.left, self.right))
+        return self._hash
 
 
 class Query(Value):
-    __slots__ = _fields = ("body",)
+    _fields = ("body",)
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, body: Formula):
-        object.__setattr__(self, "body", body)
+        _set(self, "body", body)
+        _set(self, "_hash", hash((body,)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -166,7 +183,7 @@ class Query(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.body,))
+        return self._hash
 
 
 # A formula AST node; `isinstance(x, Formula)` tests for one.
@@ -180,11 +197,11 @@ class Sequent(Value):
     weakening or contraction.  An empty antecedent is legal and is not the
     same thing as an antecedent holding `1`.
 
-    Hashing walks every formula, and proof search looks each sequent up in
-    several tables, so the first `hash` stores the value in the slot `_hash`,
-    which is derived and not a field.  It is filled lazily, not in
-    `__init__`: most of the sequents built while enumerating a space are
-    never hashed.
+    Hashing reads the stored hash of each formula, so it costs one step per
+    antecedent formula; proof search looks each sequent up in several
+    tables, so the first `hash` stores the value in the slot `_hash`, which
+    is derived and not a field.  It is filled lazily, not in `__init__`:
+    most of the sequents built while enumerating a space are never hashed.
     """
 
     _fields = ("antecedent", "succedent")

@@ -206,6 +206,16 @@ def test_deep_cut_chain_checks_and_renders():
     assert lines[1500] == " " * 3000 + "a |- a   [Ax]"
 
 
+def test_deep_query_succedent_proves_and_checks():
+    # a 1,500-deep proof: the stored formula hashes and `_build`'s explicit
+    # stack keep search and tree building off the recursion limit
+    goal = parse_sequent("a |- a" + "?" * 1500)
+    for logic in (KL, KLP):
+        tree = Prover(logic).prove(goal)
+        assert tree is not None and tree.conclusion == goal
+        assert check_proof(logic, tree) is None
+
+
 def test_check_reports_deep_violation_path():
     tree = node(
         RuleId.OR_L,

@@ -69,6 +69,16 @@ def test_decide_deeply_nested_formula_exit_2(capsys):
     assert err == "error: input nested too deeply\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_prove_deeply_nested_succedent_exit_2(capsys, fmt):
+    # search and tree building succeed; printing the 1,501-deep succedent
+    # recurses
+    text = "a |- a" + "?" * 1500
+    code, out, err = run(capsys, "prove", "--logic", "kl+", "--format", fmt, text)
+    assert (code, out) == (2, "")
+    assert err == "error: input nested too deeply\n"
+
+
 def test_decide_dot_dump(capsys, tmp_path):
     target = tmp_path / "automata.dot"
     code, _, _ = run(

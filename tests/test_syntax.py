@@ -264,6 +264,10 @@ def test_equal_values_hash_equal(text):
         (Query(a), "body"),
         (Sequent((a,), b), "succedent"),
         (Sequent((a,), b), "_hash"),
+        (a, "_hash"),
+        (Or(a, b), "_hash"),
+        (Fuse(a, b), "_hash"),
+        (Query(a), "_hash"),
     ],
 )
 def test_fields_are_read_only(value, field):
@@ -299,6 +303,30 @@ def test_sequent_hash_cache_is_invisible(s):
         assert repr(copied) == repr(s)
     assert repr(s) == f"Sequent(antecedent={s.antecedent!r}, succedent={s.succedent!r})"
     assert Sequent._fields == ("antecedent", "succedent")
+
+
+@given(formulas())
+def test_formula_hash_is_invisible(f):
+    fresh = parse_formula(print_formula(f))  # shares no node with f
+    assert fresh == f and hash(fresh) == hash(f)
+    assert hash(f) == hash(f._values())  # the hash of the field tuple
+    for copied in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and hash(copied) == hash(f)
+        assert repr(copied) == repr(f)
+    fields = ", ".join(f"{name}={getattr(f, name)!r}" for name in f._fields)
+    assert repr(f) == f"{f.__class__.__name__}({fields})"
+    assert (Var._fields, Or._fields, Fuse._fields, Query._fields) == (
+        ("name",),
+        ("left", "right"),
+        ("left", "right"),
+        ("body",),
+    )
+
+
+def test_deep_formulas_hash():
+    # a stored hash makes hashing O(1) per node, so depth does not recurse
+    assert isinstance(hash(parse_formula("a" + "?" * 5000)), int)
+    assert isinstance(hash(parse_formula(".".join(["a?"] * 5000))), int)
 
 
 @given(st.text(alphabet="ab01|.?,()- \t", max_size=30))
