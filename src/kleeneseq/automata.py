@@ -1,4 +1,5 @@
-"""Finite automata over variable alphabets and the semantic decision procedure.
+"""Finite automata over the letters of their terms and the semantic decision
+procedure.
 
 Terms (formulas read in a logic, see `algebra`) compile to position
 automata (Glushkov 1961; McNaughton and Yamada 1960): one start state plus
@@ -37,14 +38,9 @@ from .syntax import (
     Value,
     Var,
     Zero,
-    sequent_variables,
 )
 
 DEFAULT_STATE_CAP = 10**6
-
-
-class AlphabetMismatchError(ValueError):
-    """The two automata do not share one alphabet."""
 
 
 class StateLimitError(RuntimeError):
@@ -52,14 +48,16 @@ class StateLimitError(RuntimeError):
 
 
 class Nfa(Value):
-    """Position automaton over `alphabet`, stored as bit sets.
+    """Position automaton, stored as bit sets.
 
     State 0 starts; state p > 0 is entered only on `letters[p - 1]`, so a
     state's letter is a property of the state, not of its incoming edges.
     Bit q of `follow[p]` is the edge p -> q (on `letters[q - 1]`), and bit q
     of `accept` makes q accepting.  `entered_on[x]` is the mask of the states
-    entered on x, so the x-successors of a set S of states are the OR of
-    `follow[p]` over p in S, ANDed with `entered_on[x]`.
+    entered on x, for exactly the letters x that occur in `letters`, so the
+    x-successors of a set S of states are the OR of `follow[p]` over p in S,
+    ANDed with `entered_on[x]`.  There is no alphabet beyond `letters`: a
+    word with any other letter is not accepted.
 
     `includes` discovers the words of its pairs in shortlex order because
     it is breadth-first over words and takes letters in sorted order.  Among
@@ -67,29 +65,18 @@ class Nfa(Value):
     ascending bit order, i.e. ascending state number, so the pairs admitted
     and the count `state_cap` bounds are those of a search over sorted
     state numbers.
-
-    `states`, `start`, `accepting` and `transitions` give the same automaton
-    as sets, for inspection and rendering.
     """
 
-    _fields = ("alphabet", "letters", "follow", "accept")
+    _fields = ("letters", "follow", "accept")
     __slots__ = _fields + ("entered_on",)  # entered_on is derived: not compared
 
-    def __init__(
-        self,
-        alphabet: frozenset[str],
-        letters: tuple[str, ...],
-        follow: tuple[int, ...],
-        accept: int,
-    ):
+    def __init__(self, letters: tuple[str, ...], follow: tuple[int, ...], accept: int):
         n = len(letters) + 1
         if len(follow) != n:
             raise ValueError(f"{len(follow)} successor masks for {n} states")
-        entered_on = dict.fromkeys(alphabet, 0)
+        entered_on: dict[str, int] = {}
         for p, letter in enumerate(letters, 1):
-            if letter not in entered_on:
-                raise ValueError(f"state {p} letter {letter!r} missing from alphabet")
-            entered_on[letter] |= 1 << p
+            entered_on[letter] = entered_on.get(letter, 0) | 1 << p
         limit = 1 << n
         for p, succ in enumerate(follow):
             if not 0 <= succ < limit:
@@ -98,25 +85,17 @@ class Nfa(Value):
                 raise ValueError(f"state {p} has an edge into the start state")
         if not 0 <= accept < limit:
             raise ValueError("accepting state past the last state")
-        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "follow", follow)
         object.__setattr__(self, "accept", accept)
         object.__setattr__(self, "entered_on", entered_on)
 
-    # neither `compile` nor the inclusion search reads the set views
+    # the same automaton as sets; bench/tracing.py `_count_automata` reads
+    # these two (ROADMAP item 7), no `src/` code does
 
     @property
     def states(self) -> frozenset[int]:
         return frozenset(range(len(self.follow)))
-
-    @property
-    def start(self) -> int:
-        return 0
-
-    @property
-    def accepting(self) -> frozenset[int]:
-        return frozenset(_bits(self.accept))
 
     @property
     def transitions(self) -> frozenset[tuple[int, str, int]]:
@@ -148,10 +127,11 @@ def _successors(follow: tuple[int, ...], mask: int) -> int:
 # --- compilation -------------------------------------------------------------
 
 
-def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
-    """Position automaton: state 0 starts, state p is the p-th letter
-    occurrence of `t` and is entered only on that letter.  A `?` iterates
-    its body zero or more times in kl and one or more times in kl+.
+def compile(t: Term) -> Nfa:
+    """Position automaton of `t` over the letters `t` mentions: state 0
+    starts, state p is the p-th letter occurrence of `t` and is entered only
+    on that letter.  A `?` iterates its body zero or more times in kl and one
+    or more times in kl+.
 
     Two recursive walks over the formula build it (Brüggemann-Klein, TCS
     1993).  The first numbers the positions left to right and computes
@@ -170,7 +150,6 @@ def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
     first walk's post-order, which the second walk pops in reverse.  It is
     keyed by walk order, not by node, because a formula may share subtrees
     (`map_j` does) and positions belong to occurrences."""
-    alpha = frozenset(alphabet)
     star = t.logic is LogicId.KL
     letters: list[str] = []  # letters[p - 1] labels position p
     # per Fuse, (first, nullable) of its right part; per Query, its body's first
@@ -207,9 +186,6 @@ def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
         raise TypeError(f"not a formula: {f!r}")
 
     nullable, first, last = walk(t.formula)
-    missing = set(letters) - alpha
-    if missing:
-        raise ValueError(f"term mentions variables outside the alphabet: {sorted(missing)}")
     # bit q of follow[p]: q may follow p; the start is followed by `first`
     follow = [first] + [0] * len(letters)
     position = len(letters)
@@ -232,7 +208,7 @@ def compile(t: Term, alphabet: Iterable[str]) -> Nfa:
             assign(f.body, firsts.pop() | after)
 
     assign(t.formula, 0)
-    return Nfa(alpha, tuple(letters), tuple(follow), last | 1 if nullable else last)
+    return Nfa(tuple(letters), tuple(follow), last | 1 if nullable else last)
 
 
 # --- simulation ---------------------------------------------------------------
@@ -267,7 +243,9 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
 
     When not, the counterexample is the least word in shortlex order (a
     shortest one, least in sorted letter order among those) accepted by
-    `left` and rejected by `right`.
+    `left` and rejected by `right`.  Only `left`'s letters are stepped on,
+    in sorted order: a word with any other letter is not in `left`'s
+    language, and `right` reads a letter it lacks as the empty mask.
 
     The search is breadth-first over pairs (left state, set of right states
     reached on the same word), and it keeps for each left state an antichain
@@ -287,13 +265,9 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
     already tried with it drops the repeats with one AND.  `state_cap`
     bounds the number of admitted pairs.
     """
-    if left.alphabet != right.alphabet:
-        raise AlphabetMismatchError(
-            f"alphabets differ: {sorted(left.alphabet)} vs {sorted(right.alphabet)}"
-        )
     lfollow, laccept = left.follow, left.accept
     rfollow, raccept = right.follow, right.accept
-    steps = [(x, left.entered_on[x], right.entered_on[x]) for x in sorted(left.alphabet)]
+    steps = [(x, mask, right.entered_on.get(x, 0)) for x, mask in sorted(left.entered_on.items())]
 
     # per word, in shortlex order: (left states first admitted on it, its
     # right set, and the parent link (group index, letter) that spells it)
@@ -365,8 +339,10 @@ class DecisionResult(Value):
 
 
 def decide(logic: LogicId, s: Sequent, state_cap: int = DEFAULT_STATE_CAP) -> DecisionResult:
-    """Semantic derivability: interpret both sides over the sequent's own
-    variables (each variable a distinct letter) and test language inclusion.
+    """Semantic derivability: interpret both sides, each variable a
+    distinct letter, and test language inclusion.  No alphabet is needed
+    beyond the left side's letters, because a word with a letter the left
+    side never mentions is not in the left language.
 
     For kl this agrees with cut-free proof search on every sequent we can
     enumerate; for kl+ it is strictly stronger on sequents with an
@@ -378,21 +354,22 @@ def decide(logic: LogicId, s: Sequent, state_cap: int = DEFAULT_STATE_CAP) -> De
 
 
 def decision_automata(logic: LogicId, s: Sequent) -> tuple[Nfa, Nfa]:
-    """The two automata `decide` compares, for inspection/dumping."""
+    """The two automata `decide` compares, each over its own side's
+    letters, for inspection/dumping."""
     lhs, rhs = interpret_sequent(s, logic)
-    alphabet = sequent_variables(s)
-    return compile(lhs, alphabet), compile(rhs, alphabet)
+    return compile(lhs), compile(rhs)
 
 
 def to_dot(nfa: Nfa, name: str = "nfa") -> str:
     """GraphViz rendering for debugging."""
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=point, label=""];']
-    accepting = nfa.accepting
-    for q in sorted(nfa.states):
-        shape = "doublecircle" if q in accepting else "circle"
+    for q in range(len(nfa.follow)):
+        shape = "doublecircle" if nfa.accept >> q & 1 else "circle"
         lines.append(f"  q{q} [shape={shape}, label=\"{q}\"];")
-    lines.append(f"  hidden -> q{nfa.start};")
-    for src, label, dst in sorted(nfa.transitions):
-        lines.append(f'  q{src} -> q{dst} [label="{label}"];')
+    lines.append("  hidden -> q0;")
+    entered = sorted(nfa.entered_on.items())
+    for p, succ in enumerate(nfa.follow):  # edges by (source, letter, target)
+        for letter, mask in entered:
+            lines.extend(f'  q{p} -> q{q} [label="{letter}"];' for q in _bits(succ & mask))
     lines.append("}")
     return "\n".join(lines)

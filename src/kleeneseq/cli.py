@@ -205,9 +205,9 @@ def run(args: argparse.Namespace, logic: LogicId) -> int:
     except RecursionError:
         # parsing, hashing, proof search and tree walks keep their own
         # stack, but the formula printer (`syntax._fmt`), `json`, the
-        # proof-tree JSON converters, `formula_variables`/`formula_size`,
-        # `compile`'s two walks, `algebra._map_queries` and `==` on formulas
-        # that share no nodes recurse on nesting
+        # proof-tree JSON converters, `compile`'s two walks,
+        # `algebra._map_queries` and `==` on formulas that share no nodes
+        # recurse on nesting
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except RuntimeError as e:
@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--logic",
             choices=[logic.value for logic in LogicId],
@@ -252,9 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help="which logic to use (default: kl, with a notice)",
         )
         p.add_argument("--format", choices=["text", "json"], default="text")
-        if with_input:
-            p.add_argument("input", nargs="?", help="inline input")
-            p.add_argument("--file", help="read input from this path instead")
+        p.add_argument("input", nargs="?", help="inline input")
+        p.add_argument("--file", help="read input from this path instead")
 
     p = sub.add_parser("decide", help="semantic decision via language inclusion")
     add_common(p)
@@ -279,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("crossval", help="enumeration agreement suite (both logics)")
-    add_common(p, with_input=False)
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--max-size", type=_positive_int, default=4)
     p.add_argument("--max-len", type=_positive_int, default=6)
     p.add_argument("--state-cap", type=_positive_int)
@@ -294,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     uses_logic = args.command in ("decide", "prove", "check") or (
         args.command == "translate" and getattr(args, "map", None) is None
     )
-    if args.logic is None:
+    if getattr(args, "logic", None) is None:  # crossval runs both, so has none
         if uses_logic:
             print("note: no --logic given, defaulting to kl", file=sys.stderr)
         logic = LogicId.KL

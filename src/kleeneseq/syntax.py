@@ -14,6 +14,7 @@ printer serve all three spellings, and all of them raise `ParseError`.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from enum import Enum
 
 
@@ -225,36 +226,35 @@ class Sequent(Value):
             return h
 
 
+def _nodes(*roots: Formula) -> Iterator[Formula]:
+    """Every node occurrence under `roots`, walked on an explicit stack."""
+    stack = list(roots)
+    while stack:
+        f = stack.pop()
+        yield f
+        if isinstance(f, Query):
+            stack.append(f.body)
+        elif isinstance(f, (Or, Fuse)):
+            stack += (f.right, f.left)
+        elif not isinstance(f, (Var, Zero, One)):
+            raise TypeError(f"not a formula: {f!r}")
+
+
 def formula_size(f: Formula) -> int:
     """Number of AST nodes."""
-    if isinstance(f, (Var, Zero, One)):
-        return 1
-    if isinstance(f, Query):
-        return 1 + formula_size(f.body)
-    if isinstance(f, (Or, Fuse)):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    return sum(1 for _ in _nodes(f))
 
 
 def sequent_size(s: Sequent) -> int:
-    return sum(formula_size(f) for f in s.antecedent) + formula_size(s.succedent)
+    return sum(1 for _ in _nodes(*s.antecedent, s.succedent))
 
 
 def formula_variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, (Zero, One)):
-        return frozenset()
-    if isinstance(f, Query):
-        return formula_variables(f.body)
-    return formula_variables(f.left) | formula_variables(f.right)
+    return frozenset([g.name for g in _nodes(f) if isinstance(g, Var)])
 
 
 def sequent_variables(s: Sequent) -> frozenset[str]:
-    vs = formula_variables(s.succedent)
-    for f in s.antecedent:
-        vs |= formula_variables(f)
-    return vs
+    return frozenset([g.name for g in _nodes(*s.antecedent, s.succedent) if isinstance(g, Var)])
 
 
 # --- concrete syntax ---------------------------------------------------------

@@ -34,7 +34,6 @@ from strategies import seeded_term_pairs
 KL, KLP = LogicId.KL, LogicId.KL_PLUS
 VARIABLES = frozenset(("a", "b"))
 ENUM_BOUND = 6
-AB = ("a", "b")
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -175,18 +174,18 @@ def test_c3_translation_maps():
     violations = []
     for x, y in star_pairs:
         ix, iy = alg.map_i(x), alg.map_i(y)
-        if not equivalent(compile(ix, AB), compile(x, AB)):
+        if not equivalent(compile(ix), compile(x)):
             violations.append(("i-language", x))
-        forward = includes(compile(x, AB), compile(y, AB)).holds
-        translated = includes(compile(ix, AB), compile(iy, AB)).holds
+        forward = includes(compile(x), compile(y)).holds
+        translated = includes(compile(ix), compile(iy)).holds
         if forward != translated:
             violations.append(("i-order", x, y))
     for x, y in plus_pairs:
         jx, jy = alg.map_j(x), alg.map_j(y)
-        if not equivalent(compile(jx, AB), compile(x, AB)):
+        if not equivalent(compile(jx), compile(x)):
             violations.append(("j-language", x))
-        forward = includes(compile(x, AB), compile(y, AB)).holds
-        translated = includes(compile(jx, AB), compile(jy, AB)).holds
+        forward = includes(compile(x), compile(y)).holds
+        translated = includes(compile(jx), compile(jy)).holds
         if forward != translated:
             violations.append(("j-order", x, y))
     elapsed = time.time() - start
@@ -267,7 +266,7 @@ def test_c6_automata_vs_enumeration_oracle():
     plus_pairs = seeded_term_pairs(seed=4402, count=500, max_size=8, plus_family=True)
     for pairs in (star_pairs, plus_pairs):
         for x, y in pairs:
-            nx, ny = compile(x, AB), compile(y, AB)
+            nx, ny = compile(x), compile(y)
             result = includes(nx, ny)
             bounded = oracle.bounded_inclusion(x, y, max_len)
             if result.holds and not bounded:

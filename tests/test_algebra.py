@@ -161,14 +161,12 @@ def test_map_j_lands_in_star_family(t):
 
 # --- semantic behaviour of the maps (spot checks; bulk runs in acceptance) ---
 
-ALPHA = ("a", "b")
-
 
 def test_map_i_preserves_language_on_examples():
     for text in ("a*", "(a+b)*", "a.b*+1", "0*", "(a.b)*.a"):
         t = alg.parse_star_term(text)
-        lhs = automata.compile(alg.map_i(t), ALPHA)
-        rhs = automata.compile(t, ALPHA)
+        lhs = automata.compile(alg.map_i(t))
+        rhs = automata.compile(t)
         assert automata.equivalent(lhs, rhs)
         # independent word-level check
         assert oracle.enumerate_language(alg.map_i(t), 6).words == oracle.enumerate_language(t, 6).words
@@ -177,8 +175,8 @@ def test_map_i_preserves_language_on_examples():
 def test_map_j_preserves_language_on_examples():
     for text in ("a^", "(a+b)^", "a.b^+1", "0^", "a^^"):
         t = alg.parse_plus_term(text)
-        lhs = automata.compile(alg.map_j(t), ALPHA)
-        rhs = automata.compile(t, ALPHA)
+        lhs = automata.compile(alg.map_j(t))
+        rhs = automata.compile(t)
         assert automata.equivalent(lhs, rhs)
         assert oracle.enumerate_language(alg.map_j(t), 6).words == oracle.enumerate_language(t, 6).words
 
@@ -195,6 +193,6 @@ def test_interpret_respects_logical_equivalence_small():
         for f in pool:
             for g in pool:
                 if prover.derivable(Sequent((f,), g)) and prover.derivable(Sequent((g,), f)):
-                    x = automata.compile(alg.Term(f, logic), ("a",))
-                    y = automata.compile(alg.Term(g, logic), ("a",))
+                    x = automata.compile(alg.Term(f, logic))
+                    y = automata.compile(alg.Term(g, logic))
                     assert automata.equivalent(x, y), (logic, f, g)

@@ -8,7 +8,6 @@ from kleeneseq import algebra as alg
 from kleeneseq import automata, oracle
 from kleeneseq.algebra import Term
 from kleeneseq.automata import (
-    AlphabetMismatchError,
     Nfa,
     StateLimitError,
     accepts,
@@ -28,7 +27,6 @@ from kleeneseq.syntax import (
     Zero,
     parse_formula,
     parse_sequent,
-    sequent_variables,
 )
 from strategies import plus_terms, seeded_term_pairs, star_terms, subformulas
 
@@ -49,17 +47,17 @@ def words_up_to(nfa, max_len, alphabet=AB):
 
 
 def test_compile_star():
-    nfa = compile(star("a*"), AB)
+    nfa = compile(star("a*"))
     assert words_up_to(nfa, 3) == {(), ("a",), ("a", "a"), ("a", "a", "a")}
 
 
 def test_compile_zero_is_empty():
-    nfa = compile(star("0"), AB)
+    nfa = compile(star("0"))
     assert words_up_to(nfa, 4) == set()
 
 
 def test_compile_one_is_just_epsilon():
-    assert words_up_to(compile(plus("1"), AB), 3) == {()}
+    assert words_up_to(compile(plus("1")), 3) == {()}
 
 
 def test_star_unfolding_equivalence():
@@ -70,23 +68,18 @@ def test_star_unfolding_equivalence():
         oracle.enumerate_language(lhs_term, 6).words
         == oracle.enumerate_language(rhs_term, 6).words
     )
-    assert equivalent(compile(lhs_term, AB), compile(rhs_term, AB))
+    assert equivalent(compile(lhs_term), compile(rhs_term))
 
 
 def test_compile_plus_sharp():
-    nfa = compile(plus("a^"), AB)
+    nfa = compile(plus("a^"))
     assert not accepts(nfa, ())
     assert words_up_to(nfa, 3) == {("a",), ("a", "a"), ("a", "a", "a")}
 
 
 def test_compile_plus_of_translated_star():
     t = star("a*")
-    assert equivalent(compile(alg.map_i(t), AB), compile(t, AB))
-
-
-def test_compile_rejects_unknown_variable():
-    with pytest.raises(ValueError):
-        compile(star("a.z"), AB)
+    assert equivalent(compile(alg.map_i(t)), compile(t))
 
 
 def _var_leaves(t):
@@ -95,26 +88,29 @@ def _var_leaves(t):
 
 def _assert_position_automaton_of(nfa, t):
     assert nfa.states == frozenset(range(1 + _var_leaves(t)))
-    assert all(label in nfa.alphabet for _, label, _ in nfa.transitions)
+    # entered_on maps exactly the letters that occur, each to its states
+    assert nfa.entered_on == {
+        x: sum(1 << p for p, y in enumerate(nfa.letters, 1) if y == x) for x in nfa.letters
+    }
     assert words_up_to(nfa, 5) == oracle.enumerate_language(t, 5).words
 
 
 @given(star_terms(max_leaves=6))
 @settings(max_examples=100, deadline=None)
 def test_compile_is_position_automaton(t):
-    _assert_position_automaton_of(compile(t, AB), t)
+    _assert_position_automaton_of(compile(t), t)
 
 
 @given(plus_terms(max_leaves=6))
 @settings(max_examples=100, deadline=None)
 def test_compile_plus_is_position_automaton(t):
-    _assert_position_automaton_of(compile(t, AB), t)
+    _assert_position_automaton_of(compile(t), t)
 
 
 def test_compile_plus_is_position_automaton_seeded():
     for pair in seeded_term_pairs(seed=7, count=60, max_size=7, plus_family=True):
         for t in pair:
-            _assert_position_automaton_of(compile(t, AB), t)
+            _assert_position_automaton_of(compile(t), t)
 
 
 @pytest.mark.parametrize(
@@ -123,7 +119,7 @@ def test_compile_plus_is_position_automaton_seeded():
 def test_compile_nullability_and_dead_positions(text):
     # iterations of 0 and 1, and letters that no word can reach or leave
     t = plus(text) if "^" in text else star(text)
-    _assert_position_automaton_of(compile(t, AB), t)
+    _assert_position_automaton_of(compile(t), t)
 
 
 def _reference_automaton(t):
@@ -174,36 +170,35 @@ def _reference_automaton(t):
     return tuple(letters), tuple(mask(follow[p]) for p in range(len(letters) + 1)), mask(accepting)
 
 
-def _assert_matches_reference(t, alphabet):
-    nfa = compile(t, alphabet)
+def _assert_matches_reference(t):
+    nfa = compile(t)
     assert (nfa.letters, nfa.follow, nfa.accept) == _reference_automaton(t), alg.print_term(t)
 
 
 @pytest.mark.parametrize("logic", list(LogicId))
 def test_compile_matches_textbook_reference_to_size_4(logic):
     for s in oracle.enumerate_sequents({"a", "b"}, 4):
-        alphabet = sequent_variables(s)
         for t in alg.interpret_sequent(s, logic):
-            _assert_matches_reference(t, alphabet)
+            _assert_matches_reference(t)
             if logic is LogicId.KL_PLUS:
                 # map_j shares each query body between two occurrences
-                _assert_matches_reference(alg.map_j(t), alphabet)
+                _assert_matches_reference(alg.map_j(t))
 
 
 def test_compile_matches_textbook_reference_seeded():
     for plus_family in (False, True):
         for pair in seeded_term_pairs(seed=11, count=60, max_size=12, plus_family=plus_family):
             for t in pair:
-                _assert_matches_reference(t, AB)
+                _assert_matches_reference(t)
                 if plus_family:
-                    _assert_matches_reference(alg.map_j(t), AB)
+                    _assert_matches_reference(alg.map_j(t))
 
 
 def test_golden_kl_chain_follow_sets():
     # in kl each a? may be skipped: position p is followed by itself and by
     # every later position, and only the final a accepts
     chain = ".".join(["a?"] * 50 + ["a"])
-    nfa = compile(Term(parse_formula(chain), LogicId.KL), ("a",))
+    nfa = compile(Term(parse_formula(chain), LogicId.KL))
     assert nfa.letters == ("a",) * 51
     assert nfa.follow[0] == sum(1 << q for q in range(1, 52))
     for p in range(1, 51):
@@ -213,15 +208,13 @@ def test_golden_kl_chain_follow_sets():
 
 
 def test_nfa_validation():
-    ab = frozenset(AB)
-    Nfa(ab, ("a", "b"), (0b010, 0b100, 0b110), 0b101)  # well formed
+    Nfa(("a", "b"), (0b010, 0b100, 0b110), 0b101)  # well formed
     malformed = [
-        (ab, ("a",), (0b10,), 0),  # one successor mask for two states
-        (ab, ("c",), (0b10, 0), 0),  # letter outside the alphabet
-        (ab, ("a",), (0b100, 0), 0),  # successor past the last state
-        (ab, ("a",), (0b10, 0b01), 0),  # edge into the start state
-        (ab, ("a",), (0b10, 0), 0b100),  # accepting state past the last state
-        (ab, ("a",), (0b10, -2), 0),  # a negative mask has every high bit set
+        (("a",), (0b10,), 0),  # one successor mask for two states
+        (("a",), (0b100, 0), 0),  # successor past the last state
+        (("a",), (0b10, 0b01), 0),  # edge into the start state
+        (("a",), (0b10, 0), 0b100),  # accepting state past the last state
+        (("a",), (0b10, -2), 0),  # a negative mask has every high bit set
     ]
     for args in malformed:
         with pytest.raises(ValueError):
@@ -261,51 +254,47 @@ GOLDEN_KLP_DOT = """digraph nfa {
 
 
 @pytest.mark.parametrize(
-    "logic,text,dot,transitions,accepting",
+    "logic,text,dot,transitions",
     [
         (
             LogicId.KL,
             "(a.b)?.a?",
             GOLDEN_KL_DOT,
             {(0, "a", 1), (0, "a", 3), (1, "b", 2), (2, "a", 1), (2, "a", 3), (3, "a", 3)},
-            {0, 2, 3},
         ),
         (
             LogicId.KL_PLUS,
             "(a.b)?.a",
             GOLDEN_KLP_DOT,
             {(0, "a", 1), (1, "b", 2), (2, "a", 1), (2, "a", 3)},
-            {3},
         ),
     ],
     ids=["kl", "kl+"],
 )
-def test_golden_set_views(logic, text, dot, transitions, accepting):
-    nfa = compile(Term(parse_formula(text), logic), AB)
+def test_golden_set_views(logic, text, dot, transitions):
+    nfa = compile(Term(parse_formula(text), logic))
     assert to_dot(nfa) == dot
     assert nfa.transitions == transitions
     assert nfa.states == {0, 1, 2, 3}
-    assert nfa.start == 0
-    assert nfa.accepting == accepting
 
 
 # --- inclusion -----------------------------------------------------------
 
 
 def test_empty_language_included_in_everything():
-    zero = compile(star("0"), AB)
+    zero = compile(star("0"))
     for text in ("0", "1", "a", "a*", "(a+b)*"):
-        assert includes(zero, compile(star(text), AB)).holds
+        assert includes(zero, compile(star(text))).holds
 
 
 def test_inclusion_with_oracle_confirmation():
     lhs, rhs = star("a.a"), star("a*")
     assert oracle.bounded_inclusion(lhs, rhs, 6)
-    assert includes(compile(lhs, AB), compile(rhs, AB)).holds
+    assert includes(compile(lhs), compile(rhs)).holds
 
 
 def test_epsilon_counterexample():
-    result = includes(compile(plus("1"), AB), compile(plus("a^"), AB))
+    result = includes(compile(plus("1")), compile(plus("a^")))
     assert not result.holds
     assert result.counterexample == ()
 
@@ -314,30 +303,36 @@ def test_counterexample_is_shortest_and_letter_ordered():
     # (a+b).(a+b) vs things starting with b: shortest lexicographic-least witness
     lhs = star("(a+b).(a+b)")
     rhs = star("b.(a+b)")
-    result = includes(compile(lhs, AB), compile(rhs, AB))
+    result = includes(compile(lhs), compile(rhs))
     assert result.counterexample == ("a", "a")
 
 
-def test_alphabet_mismatch_raises():
-    with pytest.raises(AlphabetMismatchError):
-        includes(compile(star("a"), ("a",)), compile(star("a"), AB))
+@pytest.mark.parametrize(
+    "lhs,rhs,cex",
+    [("a", "a+b", None), ("a+b", "a", ("b",)), ("1", "0", ())],
+)
+def test_inclusion_across_letter_sets(lhs, rhs, cex):
+    # each automaton has only its own letters; no alphabet is shared
+    result = includes(compile(star(lhs)), compile(star(rhs)))
+    assert result.holds is (cex is None)
+    assert result.counterexample == cex
 
 
 def test_equivalent_examples():
-    x = compile(star("a*.a"), AB)
-    y = compile(star("a.a*"), AB)
+    x = compile(star("a*.a"))
+    y = compile(star("a.a*"))
     assert oracle.enumerate_language(star("a*.a"), 6).words == (
         oracle.enumerate_language(star("a.a*"), 6).words
     )
     assert equivalent(x, x)
     assert equivalent(x, y)
-    assert not equivalent(compile(star("a*"), AB), compile(plus("a^"), AB))
+    assert not equivalent(compile(star("a*")), compile(plus("a^")))
 
 
 def test_state_cap_exceeded():
     big = star("(a+b)*.a.(a+b).(a+b).(a+b)")
     with pytest.raises(StateLimitError):
-        includes(compile(big, AB), compile(star("0"), AB), state_cap=3)
+        includes(compile(big), compile(star("0")), state_cap=3)
 
 
 # --- inclusion is a partial order on sampled languages ---------------------
@@ -346,14 +341,14 @@ def test_state_cap_exceeded():
 @given(star_terms(max_leaves=6))
 @settings(max_examples=60, deadline=None)
 def test_inclusion_reflexive(t):
-    nfa = compile(t, AB)
+    nfa = compile(t)
     assert includes(nfa, nfa).holds
 
 
 @given(star_terms(max_leaves=4), star_terms(max_leaves=4), star_terms(max_leaves=4))
 @settings(max_examples=60, deadline=None)
 def test_inclusion_transitive(x, y, z):
-    nx, ny, nz = (compile(t, AB) for t in (x, y, z))
+    nx, ny, nz = (compile(t) for t in (x, y, z))
     if includes(nx, ny).holds and includes(ny, nz).holds:
         assert includes(nx, nz).holds
 
@@ -361,7 +356,7 @@ def test_inclusion_transitive(x, y, z):
 @given(star_terms(max_leaves=5), star_terms(max_leaves=5))
 @settings(max_examples=60, deadline=None)
 def test_inclusion_antisymmetric_up_to_equivalence(x, y):
-    nx, ny = compile(x, AB), compile(y, AB)
+    nx, ny = compile(x), compile(y)
     if includes(nx, ny).holds and includes(ny, nx).holds:
         assert equivalent(nx, ny)
 
@@ -369,7 +364,7 @@ def test_inclusion_antisymmetric_up_to_equivalence(x, y):
 @given(st.one_of(star_terms(max_leaves=6)), st.one_of(star_terms(max_leaves=6)))
 @settings(max_examples=100, deadline=None)
 def test_counterexample_membership(x, y):
-    nx, ny = compile(x, AB), compile(y, AB)
+    nx, ny = compile(x), compile(y)
     result = includes(nx, ny)
     if not result.holds:
         assert accepts(nx, result.counterexample)
@@ -378,7 +373,7 @@ def test_counterexample_membership(x, y):
 
 def test_counterexample_membership_plus_family_seeded():
     for x, y in seeded_term_pairs(seed=99, count=150, max_size=7, plus_family=True):
-        nx, ny = compile(x, AB), compile(y, AB)
+        nx, ny = compile(x), compile(y)
         result = includes(nx, ny)
         if not result.holds:
             assert accepts(nx, result.counterexample)
@@ -410,12 +405,12 @@ def _assert_least_counterexample(nx, ny):
 @settings(max_examples=100, deadline=None)
 def test_counterexample_is_shortlex_least(x, y):
     # the antichain pruning must keep the shortest, letter-least witness
-    _assert_least_counterexample(compile(x, AB), compile(y, AB))
+    _assert_least_counterexample(compile(x), compile(y))
 
 
 def test_counterexample_is_shortlex_least_plus_family_seeded():
     for x, y in seeded_term_pairs(seed=5, count=150, max_size=7, plus_family=True):
-        _assert_least_counterexample(compile(x, AB), compile(y, AB))
+        _assert_least_counterexample(compile(x), compile(y))
 
 
 # The n = 12 members of the subset family: the right-hand automaton reaches
@@ -496,10 +491,10 @@ def test_decision_result_is_a_value():
 
 def test_compiled_automata_are_equal_values():
     t = star("(a + b)* . a")
-    x, y = compile(t, AB), compile(t, AB)
+    x, y = compile(t), compile(t)
     assert x == y and x is not y
     assert hash(x) == hash(y)
-    assert x != compile(star("a"), AB)
+    assert x != compile(star("a"))
     with pytest.raises(AttributeError):
         x.accept = 0
 
@@ -510,7 +505,7 @@ def test_decide_handles_variable_free_sequents():
 
 
 def test_to_dot_mentions_all_states():
-    nfa = compile(star("a.b"), AB)
+    nfa = compile(star("a.b"))
     dot = to_dot(nfa, "left")
     assert dot.startswith("digraph left {")
     for q in nfa.states:

@@ -300,6 +300,14 @@ def test_crossval_json(capsys):
         assert row["prove_s"] >= 0 and row["decide_s"] >= 0
 
 
+def test_crossval_takes_no_logic(capsys):
+    # crossval always runs both logics
+    with pytest.raises(SystemExit) as exc:
+        main(["crossval", "--logic", "kl", "--max-size", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --logic kl" in capsys.readouterr().err
+
+
 def test_crossval_reports_divergence_from_size_5(capsys):
     # at size 5 the interior-empty-query divergence becomes visible; the
     # command reports it honestly and signals failure

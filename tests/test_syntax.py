@@ -18,11 +18,13 @@ from kleeneseq.syntax import (
     Var,
     Zero,
     formula_size,
+    formula_variables,
     parse_formula,
     parse_sequent,
     print_formula,
     print_sequent,
     sequent_size,
+    sequent_variables,
 )
 from strategies import formulas, sequents
 
@@ -327,6 +329,16 @@ def test_deep_formulas_hash():
     # a stored hash makes hashing O(1) per node, so depth does not recurse
     assert isinstance(hash(parse_formula("a" + "?" * 5000)), int)
     assert isinstance(hash(parse_formula(".".join(["a?"] * 5000))), int)
+
+
+def test_deep_formulas_size_and_variables():
+    # the size and variable walks keep their own stack
+    deep = parse_formula("a" + "?" * 5000)
+    chain = parse_formula(".".join(["a?"] * 5000))
+    assert (formula_size(deep), formula_variables(deep)) == (5001, {"a"})
+    assert (formula_size(chain), formula_variables(chain)) == (14999, {"a"})
+    s = Sequent((deep, chain), deep)
+    assert (sequent_size(s), sequent_variables(s)) == (25001, {"a"})
 
 
 @given(st.text(alphabet="ab01|.?,()- \t", max_size=30))
