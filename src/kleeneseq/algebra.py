@@ -5,8 +5,10 @@ differ only in `?`, which kl reads as star (zero or more passes) and kl+ as
 plus (one or more passes), so terms share the formula AST of `syntax`.
 Concrete term syntax: `+`, `.`, postfix `*` in kl and `^` in kl+,
 constants `1`/`0`; postfix operators bind tightest, then `.`, then `+`.
-It is two of the spellings that `syntax` parses and prints; the term
-functions here only pick the spelling and the logic.
+The two term spellings are defined here and read and written by the one
+parser and printer of `syntax`, so a malformed term is reported as a
+malformed formula is; the term functions only pick the spelling and the
+logic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from . import syntax
-from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Var, Zero
+from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Spelling, Var, Zero
 
 
 class Term(NamedTuple):
@@ -71,7 +73,12 @@ def map_j(t: Term) -> Term:
 
 # --- concrete term syntax ----------------------------------------------------
 
-_SPELLINGS = {LogicId.KL: syntax.STAR_TERMS, LogicId.KL_PLUS: syntax.PLUS_TERMS}
+# Each spelling knows the other family's postfix operator, so that it can
+# name it in its error.
+_TERM_OPS = {Or: "+", Fuse: ".", One: "1", Zero: "0"}
+STAR_TERMS = Spelling("term", {**_TERM_OPS, Query: "*"}, {"^": "foreign"})
+PLUS_TERMS = Spelling("term", {**_TERM_OPS, Query: "^"}, {"*": "foreign"})
+_SPELLINGS = {LogicId.KL: STAR_TERMS, LogicId.KL_PLUS: PLUS_TERMS}
 
 
 def print_term(t: Term) -> str:
@@ -81,9 +88,9 @@ def print_term(t: Term) -> str:
 
 def parse_star_term(text: str) -> Term:
     """Parse syntax with `*` into a kl term."""
-    return Term(syntax.parse_as(text, syntax.STAR_TERMS), LogicId.KL)
+    return Term(syntax.parse_as(text, STAR_TERMS), LogicId.KL)
 
 
 def parse_plus_term(text: str) -> Term:
     """Parse syntax with `^` into a kl+ term."""
-    return Term(syntax.parse_as(text, syntax.PLUS_TERMS), LogicId.KL_PLUS)
+    return Term(syntax.parse_as(text, PLUS_TERMS), LogicId.KL_PLUS)

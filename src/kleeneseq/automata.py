@@ -35,16 +35,13 @@ from .syntax import (
     Or,
     Query,
     Sequent,
+    StateLimitError,  # raised by `includes`; defined in `syntax` for `cli`
     Value,
     Var,
     Zero,
 )
 
 DEFAULT_STATE_CAP = 10**6
-
-
-class StateLimitError(RuntimeError):
-    """The product construction exceeded the configured state cap."""
 
 
 class Nfa(Value):

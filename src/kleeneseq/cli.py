@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract: 0 for a positive answer, 1 for a
 negative one (underivable sequent, failed check, crossval disagreement),
-2 for usage, parse, or resource errors.
+2 for usage, parse, or resource errors.  `run` maps every failure of a
+command to exit 2, so a crash never reads as a negative answer.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .syntax import LogicId, parse_formula, parse_sequent, print_sequent
+from .syntax import LogicId, StateLimitError, parse_formula, parse_sequent, print_sequent
 
 # Each command imports the modules it runs, so that a one-query process does
 # not pay to load (and, without cached bytecode, compile) the others.
@@ -142,13 +143,10 @@ def _run_crossval(args: argparse.Namespace, logic: LogicId) -> int:
                 row["disagreements"] += 1
             lhs, rhs = algebra.interpret_sequent(s, logic)
             bounded = oracle.bounded_inclusion(lhs, rhs, args.max_len)
-            if decision.derivable and not bounded:
-                row["oracle_mismatches"] += 1
-            if (
-                not decision.derivable
-                and decision.counterexample is not None
-                and len(decision.counterexample) <= args.max_len
-                and bounded
+            # a negative decision always carries a counterexample; the
+            # oracle sees only those no longer than max_len
+            if decision.derivable != bounded and (
+                decision.derivable or len(decision.counterexample) <= args.max_len
             ):
                 row["oracle_mismatches"] += 1
         if proved[LogicId.KL_PLUS] and not proved[LogicId.KL]:
@@ -199,8 +197,12 @@ _RUNNERS = {
 
 
 def run(args: argparse.Namespace, logic: LogicId) -> int:
-    """Execute one parsed command; returns the process exit status."""
+    """Execute one parsed command, reading its `--file` input first; returns
+    the process exit status."""
     try:
+        if getattr(args, "file", None) is not None:
+            with open(args.file, encoding="utf-8") as fh:
+                args.input = fh.read()
         return _RUNNERS[args.command](args, logic)
     except RecursionError:
         # parsing, hashing, proof search and tree walks keep their own
@@ -208,23 +210,19 @@ def run(args: argparse.Namespace, logic: LogicId) -> int:
         # proof-tree JSON converters, `compile`'s two walks,
         # `algebra._map_queries` and `==` on formulas that share no nodes
         # recurse on nesting
-        print("error: input nested too deeply", file=sys.stderr)
-        return 2
-    except RuntimeError as e:
-        # only the commands that search automata raise StateLimitError, and
-        # they have imported the module by then
-        from .automata import StateLimitError
-
-        if not isinstance(e, StateLimitError):
-            raise
-        print(f"resource limit exceeded: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:  # covers parse errors and malformed proof JSON
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:  # `decide --dot` could not write its file
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        message = "error: input nested too deeply"
+    except StateLimitError as e:
+        message = f"resource limit exceeded: {e}"
+    except (ValueError, OSError) as e:
+        # parse errors, malformed proof JSON, undecodable input, and files
+        # that cannot be read or (`decide --dot`) written
+        message = f"error: {e}"
+    except MemoryError:
+        # printing waits until the handler has exited and freed the
+        # traceback, which still holds the failed search's tables
+        message = "resource limit exceeded: out of memory"
+    print(message, file=sys.stderr)
+    return 2
 
 
 def _positive_int(text: str) -> int:
@@ -269,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="interpret a formula or apply a term map")
     add_common(p)
-    group = p.add_mutually_exclusive_group()
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--map", choices=["i", "j"], help="star-to-plus (i) or plus-to-star (j)")
     group.add_argument(
         "--interpret",
@@ -291,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     uses_logic = args.command in ("decide", "prove", "check") or (
-        args.command == "translate" and getattr(args, "map", None) is None
+        args.command == "translate" and args.interpret
     )
     if getattr(args, "logic", None) is None:  # crossval runs both, so has none
         if uses_logic:
@@ -303,14 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command != "crossval":
         if args.file is not None and args.input is not None:
             parser.error("give inline input or --file, not both")
-        if args.file is not None:
-            try:
-                with open(args.file, encoding="utf-8") as fh:
-                    args.input = fh.read()
-            except (OSError, UnicodeDecodeError) as e:
-                print(f"error: {e}", file=sys.stderr)
-                return 2
-        elif args.input is None:
+        if args.file is None and args.input is None:
             parser.error("missing input (inline or --file)")
 
     return run(args, logic)

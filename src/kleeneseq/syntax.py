@@ -1,14 +1,15 @@
-"""Formulas and sequents: AST types, and the concrete syntax that reads and
-writes them both as formulas and as terms.
+"""Formulas and sequents: AST types, the concrete syntax that reads and
+writes them, and the two errors a command reports as bad input or as an
+exhausted bound.
 
 Formulas: `|` for disjunction, `.` for fusion, postfix `?`, the constants
 `1` and `0`, variables `[a-z][a-zA-Z0-9_]*`, `|-` as turnstile and `,`
 separating antecedent formulas.  `?` binds tightest, then `.`, then `|`; the
 binary operators associate to the left.  `LogicId` names the two logics,
-which differ in how `?` is read: as star (kl) or as plus (kl+).  Terms (see
-`algebra`) spell the same AST with `+` for `|` and postfix `*` (kl) or `^`
-(kl+) for `?`, and print without spaces.  One tokenizer, one parser and one
-printer serve all three spellings, and all of them raise `ParseError`.
+which differ in how `?` is read: as star (kl) or as plus (kl+).  One
+tokenizer, one parser and one printer serve every `Spelling` of the AST:
+formulas here, and the two term spellings in `algebra`.  All spellings
+report malformed input alike, as a `ParseError`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.message = message
         self.position = position
+
+
+class StateLimitError(RuntimeError):
+    """A search exceeded its configured state cap."""
 
 
 class Value:
@@ -260,18 +265,20 @@ def sequent_variables(s: Sequent) -> frozenset[str]:
 # --- concrete syntax ---------------------------------------------------------
 #
 # One tokenizer, one parser and one printer serve three spellings of the
-# formula AST: formulas, and terms with `*` or with `^` for `?`.
+# formula AST: formulas, and (in `algebra`) terms with `*` or with `^` for `?`.
 
 
 class Spelling:
     """How one concrete syntax spells the formula AST.
 
-    `noun` names what the parser expects: "formula" or "term".  `ops` gives
-    the printed form of each node class but `Var`; the parser reads the same
-    symbols without their spaces.  `roles` maps each symbol the syntax knows
-    to what it is to the parser: a node class, a parenthesis, or a symbol of
-    its own (`,` and `|-` in sequents, `foreign` for the other term family's
-    postfix operator).
+    `noun` is the word for what the parser expects ("formula" or "term") in
+    its message for a missing operand.  `ops` gives the printed form of each
+    node class but `Var`; the parser reads the same symbols without their
+    spaces.  `roles` maps each symbol the syntax knows to what it is to the
+    parser: a node class, a parenthesis, or a symbol of its own (`,` and
+    `|-` in sequents, `foreign` for the other term family's postfix
+    operator, which the parser names in its error).  Every spelling reports
+    malformed input by the same rules.
     """
 
     __slots__ = ("noun", "ops", "roles")
@@ -283,12 +290,9 @@ class Spelling:
         self.roles |= {"(": "(", ")": ")"} | extra
 
 
-_TERM_OPS = {Or: "+", Fuse: ".", One: "1", Zero: "0"}
 FORMULAS = Spelling(
     "formula", {Or: " | ", Fuse: " . ", Query: "?", One: "1", Zero: "0"}, {",": ",", "|-": "|-"}
 )
-STAR_TERMS = Spelling("term", {**_TERM_OPS, Query: "*"}, {"^": "foreign"})
-PLUS_TERMS = Spelling("term", {**_TERM_OPS, Query: "^"}, {"*": "foreign"})
 
 # Binding strength of each operator node; None marks an open parenthesis.
 _PREC = {None: 0, Or: 1, Fuse: 2, Query: 3}
@@ -302,10 +306,9 @@ class _Tokens:
     """The tokens of one text, ending with an end-of-input token "".
 
     `values[i]` is the text of token i, and `kinds[i]` what it is to the
-    parser: its entry in `spelling.roles`, `Var` for an identifier, or False
-    for a symbol the spelling lacks.  Formulas reject the first such symbol
-    here, before parsing; the term syntaxes report it only when the parser
-    reaches it.  Positions are found again only for an error.
+    parser: its entry in `spelling.roles` or `Var` for an identifier.  The
+    first symbol the spelling lacks is rejected here, before parsing.
+    Positions are found again only for an error.
     """
 
     __slots__ = ("text", "spelling", "kinds", "values")
@@ -318,7 +321,7 @@ class _Tokens:
         kinds = [roles.get(v) or ("a" <= v[0] <= "z" and Var) for v in values]
         self.text = text
         self.spelling = spelling
-        if spelling.noun == "formula" and False in kinds:
+        if False in kinds:
             i = kinds.index(False)
             raise self.error(f"unexpected character {values[i]!r}", i)
         self.kinds = kinds + [""]
@@ -333,10 +336,8 @@ class _Tokens:
         return self.error(f"expected {what}, found {found}", i)
 
     def finish(self, i: int) -> None:
-        value = self.values[i]
-        if value:
-            shown = value[0] if self.spelling.noun == "term" else value
-            raise self.error(f"unexpected trailing input {shown!r}", i)
+        if self.values[i]:
+            raise self.error(f"unexpected trailing input {self.values[i]!r}", i)
 
 
 def _reduce(operands: list[Formula], pending: list, prec: int) -> None:
@@ -354,14 +355,12 @@ def _parse(tokens: _Tokens, i: int) -> tuple[Formula, int]:
     depth costs no recursion: `operands` holds the subformulas read so far,
     `pending` the infix node classes not yet applied, with a None for each
     open parenthesis and one at the bottom.  The outer loop reads an operand,
-    the inner one what may follow it.  The term syntaxes name one character
-    of an unexpected token and word two messages their own way.
+    the inner one what may follow it.
     """
-    kinds, values, noun = tokens.kinds, tokens.values, tokens.spelling.noun
+    kinds, values = tokens.kinds, tokens.values
     operands: list[Formula] = []
     pending: list = [None]
     depth = 0
-    term = noun == "term"
     while True:
         kind = kinds[i]
         if kind is Var:
@@ -373,10 +372,8 @@ def _parse(tokens: _Tokens, i: int) -> tuple[Formula, int]:
             depth += 1
             i += 1
             continue
-        elif term and values[i]:
-            raise tokens.error(f"unexpected character {values[i][0]!r}", i)
         else:
-            raise tokens.expected(f"a {noun}", i)
+            raise tokens.expected(f"a {tokens.spelling.noun}", i)
         i += 1
         while True:
             kind = kinds[i]
@@ -394,7 +391,7 @@ def _parse(tokens: _Tokens, i: int) -> tuple[Formula, int]:
             elif kind == "foreign":
                 raise tokens.error(f"operator {values[i]!r} is not part of this term family", i)
             elif depth:
-                raise tokens.error("expected ')'", i) if term else tokens.expected("rparen", i)
+                raise tokens.expected("rparen", i)
             else:
                 _reduce(operands, pending, 1)
                 return operands[0], i

@@ -1,12 +1,14 @@
 """Compute the six identity hashes that pin the outputs of a change.
 
-Run from the repository root (pytest does not collect this file):
+Run from the repository root:
 
     PYTHONPATH=src python tests/identity.py
 
 It prints one line per hash and exits 0 when all six equal `EXPECTED`, or 1
-after naming on stderr each one that differs.  A change that alters one of
-these outputs on purpose updates `EXPECTED` and says why.
+after naming on stderr each one that differs.  `tests/test_identity.py`
+asserts the same six values under pytest, which does not collect this file.
+A change that alters one of these outputs on purpose updates `EXPECTED` and
+says why.
 
 Each line is a name and the SHA-256 of one output stream, logic outer:
 
@@ -156,20 +158,22 @@ EXPECTED = {
     "dot-size5": "7543739d358b7674869978d658bec09d09bd749762c5632354ddad28ac861b30",
     "proofs-size5": "aa5b6a97b89c62e5bbaeb2e8b22c92526f23c6524005fd5c29948f10a3ac94b3",
     "proofs-hard": "9a32944992a04354a5c14764cbedae6682ee64f8756cce44004587946cc2bf02",
-    "syntax": "1858294bf7dc85d9ad02fd709ac6db765af66c38642eba1fb8760946171caf6c",
+    "syntax": "814335bffa9061aab8e31eec40fe85b7aebdbb861843880b714c3549029501d3",
+}
+
+HASHES = {
+    "decide-size6": decide_size6,
+    "decide-scale": decide_scale,
+    "dot-size5": dot_size5,
+    "proofs-size5": proofs_size5,
+    "proofs-hard": proofs_hard,
+    "syntax": syntax,
 }
 
 
 def main() -> int:
     differ = []
-    for name, fn in (
-        ("decide-size6", decide_size6),
-        ("decide-scale", decide_scale),
-        ("dot-size5", dot_size5),
-        ("proofs-size5", proofs_size5),
-        ("proofs-hard", proofs_hard),
-        ("syntax", syntax),
-    ):
+    for name, fn in HASHES.items():
         got = fn()
         print(name, got, flush=True)
         if got != EXPECTED[name]:

@@ -241,8 +241,8 @@ def test_check_rejects_leaf_claiming_a_unary_rule():
 
 
 def test_check_accepts_empty_delta_query_right_instance():
-    # splitting with an empty left part repeats the goal; legal to check,
-    # never proposed by search
+    # the split that gives the whole antecedent to `D |- A` and leaves `G`
+    # empty; search proposes it too
     tree = node(
         RuleId.Q_INTRO_R2,
         "a |- a?",
@@ -250,6 +250,18 @@ def test_check_accepts_empty_delta_query_right_instance():
         leaf(RuleId.AX_Q, "|- a?"),
     )
     assert check_proof(KL, tree) is None
+
+
+@pytest.mark.parametrize("rule", [RuleId.Q_INTRO_R1, RuleId.Q_INTRO_R2])
+def test_check_accepts_goal_repeating_query_right_split(rule):
+    # an empty D leaves the goal itself as the premise `G |- A?`: legal to
+    # check, never proposed by search
+    goal = parse_sequent("1 |- 1?")
+    repeated = node(RuleId.ONE_L, "1 |- 1?", leaf(RuleId.AX_Q, "|- 1?"))
+    assert check_proof(KL, repeated) is None
+    tree = node(rule, "1 |- 1?", leaf(RuleId.ONE_R, "|- 1"), repeated)
+    assert check_proof(KL, tree) is None
+    assert (rule, (parse_sequent("|- 1"), goal)) not in applicable_rules(KL, goal)
 
 
 def test_cut_instance_with_context():

@@ -278,6 +278,13 @@ def test_translate_wrong_operator_family_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_translate_needs_map_or_interpret(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["translate", "a"])
+    assert exc.value.code == 2
+    assert "one of the arguments --map --interpret is required" in capsys.readouterr().err
+
+
 # --- crossval -------------------------------------------------------------------
 
 
@@ -409,6 +416,34 @@ def test_command_loads_only_its_modules(argv, runs, not_loaded):
     assert runs <= loaded
     assert not loaded & not_loaded
     assert not loaded & set(_HEAVY_STDLIB)
+
+
+# The first criterion-7 sequent: proving it in kl+ needs tens of MiB.
+C7_1 = "(a.b.c.d)?, ((a|b).(c|d))?, (a?.b?.c?.d?)? |- ((a|b|c|d)? . (a|b|c|d)?)?"
+
+# Caps the process's own address space at 8 MiB above what it has mapped
+# after importing the CLI, keeping the hard limit, then runs one command.
+_MAIN_UNDER_8_MIB_MORE = """
+import resource, sys
+from kleeneseq.cli import main
+with open("/proc/self/status") as fh:
+    kib = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+soft = (kib + 8 * 1024) * 1024
+if hard != resource.RLIM_INFINITY:
+    soft = min(soft, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_exit_2():
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    done = python("-c", _MAIN_UNDER_8_MIB_MORE, "prove", "--logic", "kl+", C7_1)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "resource limit exceeded: out of memory\n"
 
 
 @pytest.mark.parametrize(

@@ -117,10 +117,10 @@ def test_parse_error_carries_position():
     assert "position 4" in str(exc.value)
 
 
-# Each message of both syntaxes, with the position it reports.  Formulas
-# reject an unknown character before parsing and quote a whole unexpected
-# token; terms report an unknown character only when they reach it and quote
-# one character.
+# Each message of the three spellings, with the position it reports.  All
+# of them reject the first unknown character before parsing and quote a whole
+# unexpected token; only the word for a missing operand ("formula" or "term")
+# and the terms' message for the other term family's operator differ.
 PARSERS = {
     f.__name__: f for f in (parse_formula, parse_sequent, parse_star_term, parse_plus_term)
 }
@@ -141,16 +141,16 @@ ERRORS = [
     ("parse_sequent", "|- a bc", "unexpected trailing input 'bc'", 5),
     ("parse_star_term", " ", "empty input", 0),
     ("parse_star_term", "a + ?", "unexpected character '?'", 4),
-    ("parse_plus_term", "a+)", "unexpected character ')'", 2),
-    ("parse_star_term", ") $", "unexpected character ')'", 0),
-    ("parse_star_term", "a) $", "unexpected trailing input ')'", 1),
-    ("parse_star_term", "(a $", "expected ')'", 3),
-    ("parse_plus_term", "(a", "expected ')'", 2),
+    ("parse_plus_term", "a+)", "expected a term, found ')'", 2),
+    ("parse_star_term", ") $", "unexpected character '$'", 2),
+    ("parse_star_term", "a) $", "unexpected character '$'", 3),
+    ("parse_star_term", "(a $", "unexpected character '$'", 3),
+    ("parse_plus_term", "(a", "expected rparen, found end of input", 2),
     ("parse_star_term", "a+ ", "expected a term, found end of input", 3),
     ("parse_star_term", "a^", "operator '^' is not part of this term family", 1),
     ("parse_plus_term", "(a) *", "operator '*' is not part of this term family", 4),
-    ("parse_star_term", "a bc", "unexpected trailing input 'b'", 2),
-    ("parse_plus_term", "a|-b", "unexpected trailing input '|'", 1),
+    ("parse_star_term", "a bc", "unexpected trailing input 'bc'", 2),
+    ("parse_plus_term", "a|-b", "unexpected character '|-'", 1),
 ]
 
 
