@@ -43,16 +43,33 @@ def interpret_sequent(s: Sequent, logic: LogicId) -> tuple[Term, Term]:
 
 def _map_queries(f: Formula, query: Callable[[Formula], Formula]) -> Formula:
     """Image of f sending each `?` with mapped body g to query(g),
-    homomorphic elsewhere."""
-    if isinstance(f, Query):
-        return query(_map_queries(f.body, query))
-    if isinstance(f, Or):
-        return Or(_map_queries(f.left, query), _map_queries(f.right, query))
-    if isinstance(f, Fuse):
-        return Fuse(_map_queries(f.left, query), _map_queries(f.right, query))
-    if isinstance(f, (Var, Zero, One)):
-        return f
-    raise TypeError(f"not a formula: {f!r}")
+    homomorphic elsewhere.
+
+    Post-order on an explicit stack, so depth costs no recursion: a node is
+    pushed once to expand it and once more, under its children, to combine
+    their images, which `images` holds.
+    """
+    images: list[Formula] = []
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        g, combine = stack.pop()
+        cls = g.__class__
+        if cls is Var or cls is Zero or cls is One:
+            images.append(g)
+        elif cls is Query:
+            if combine:
+                images[-1] = query(images[-1])
+            else:
+                stack += ((g, True), (g.body, False))
+        elif cls is Or or cls is Fuse:
+            if combine:
+                right = images.pop()
+                images[-1] = cls(images[-1], right)
+            else:
+                stack += ((g, True), (g.right, False), (g.left, False))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return images[0]
 
 
 def map_i(t: Term) -> Term:

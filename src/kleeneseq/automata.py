@@ -28,6 +28,7 @@ from typing import Iterable
 
 from .algebra import Term, interpret_sequent
 from .syntax import (
+    DEFAULT_STATE_CAP,
     Formula,
     Fuse,
     LogicId,
@@ -40,8 +41,6 @@ from .syntax import (
     Var,
     Zero,
 )
-
-DEFAULT_STATE_CAP = 10**6
 
 
 class Nfa(Value):

@@ -21,6 +21,7 @@ from .syntax import (
     Or,
     Query,
     Sequent,
+    StateLimitError,
     Value,
     Zero,
     parse_sequent,
@@ -233,12 +234,45 @@ class ProofTree(Value):
         object.__setattr__(self, "premises", premises)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with `fn(key)`: one call per distinct
+    key.  A key whose call raises is not stored."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _assemble(nodes: list[tuple[Sequent, RuleId, int]]) -> ProofTree:
+    """The tree whose nodes, in pre-order, are `(conclusion, rule, number of
+    premises)`: built in reverse, each node taking its premises' trees off
+    `built`, so every node is a distinct object and depth costs no
+    recursion."""
+    built: list[ProofTree] = []
+    for s, rule, n in reversed(nodes):
+        built.append(ProofTree(s, rule, tuple([built.pop() for _ in range(n)])))
+    return built[0]
+
+
 def tree_to_json_dict(tree: ProofTree) -> dict:
-    return {
-        "rule": tree.rule.value,
-        "conclusion": print_sequent(tree.conclusion),
-        "premises": [tree_to_json_dict(p) for p in tree.premises],
-    }
+    """The JSON object of `tree`, built on an explicit stack; each distinct
+    conclusion is printed once."""
+    texts = _Memo(print_sequent)
+    root: list[dict] = []
+    stack = [(tree, root)]
+    while stack:
+        node, siblings = stack.pop()
+        premises: list[dict] = []
+        siblings.append(
+            {"rule": node.rule.value, "conclusion": texts[node.conclusion], "premises": premises}
+        )
+        stack.extend((p, premises) for p in reversed(node.premises))
+    return root[0]
 
 
 def tree_to_json(tree: ProofTree) -> str:
@@ -249,27 +283,33 @@ _RULE_BY_NAME = {r.value: r for r in RuleId}
 
 
 def tree_from_json_dict(obj: object) -> ProofTree:
-    if not isinstance(obj, dict):
-        raise ValueError("proof tree JSON must be an object")
-    try:
-        rule_name = obj["rule"]
-        conclusion_text = obj["conclusion"]
-        premises = obj["premises"]
-    except KeyError as e:
-        raise ValueError(f"proof tree JSON lacks key {e.args[0]!r}") from None
-    if not isinstance(rule_name, str):
-        raise ValueError("rule must be a string")
-    if not isinstance(conclusion_text, str):
-        raise ValueError("conclusion must be a string")
-    if rule_name not in _RULE_BY_NAME:
-        raise ValueError(f"unknown rule name {rule_name!r}")
-    if not isinstance(premises, list):
-        raise ValueError("premises must be a list")
-    return ProofTree(
-        parse_sequent(conclusion_text),
-        _RULE_BY_NAME[rule_name],
-        tuple(tree_from_json_dict(p) for p in premises),
-    )
+    """The tree a JSON object describes.  The nodes are validated in
+    pre-order on an explicit stack, so the first malformed node is the one
+    reported; each distinct conclusion text is parsed once."""
+    sequents = _Memo(parse_sequent)
+    nodes: list[tuple[Sequent, RuleId, int]] = []
+    stack = [obj]
+    while stack:
+        obj = stack.pop()
+        if not isinstance(obj, dict):
+            raise ValueError("proof tree JSON must be an object")
+        try:
+            rule_name = obj["rule"]
+            conclusion_text = obj["conclusion"]
+            premises = obj["premises"]
+        except KeyError as e:
+            raise ValueError(f"proof tree JSON lacks key {e.args[0]!r}") from None
+        if not isinstance(rule_name, str):
+            raise ValueError("rule must be a string")
+        if not isinstance(conclusion_text, str):
+            raise ValueError("conclusion must be a string")
+        if rule_name not in _RULE_BY_NAME:
+            raise ValueError(f"unknown rule name {rule_name!r}")
+        if not isinstance(premises, list):
+            raise ValueError("premises must be a list")
+        nodes.append((sequents[conclusion_text], _RULE_BY_NAME[rule_name], len(premises)))
+        stack.extend(reversed(premises))
+    return _assemble(nodes)
 
 
 def tree_from_json(text: str) -> ProofTree:
@@ -277,12 +317,14 @@ def tree_from_json(text: str) -> ProofTree:
 
 
 def render_tree(tree: ProofTree) -> str:
-    """Indented one-node-per-line rendering, premises below conclusions."""
+    """Indented one-node-per-line rendering, premises below conclusions;
+    each distinct conclusion is printed once."""
+    texts = _Memo(print_sequent)
     lines: list[str] = []
     stack = [(tree, "")]
     while stack:
         node, pad = stack.pop()
-        lines.append(f"{pad}{print_sequent(node.conclusion)}   [{node.rule.value}]")
+        lines.append(f"{pad}{texts[node.conclusion]}   [{node.rule.value}]")
         stack.extend((p, pad + "  ") for p in reversed(node.premises))
     return "\n".join(lines)
 
@@ -309,7 +351,9 @@ class Violation(Value):
 def check_proof(logic: LogicId, tree: ProofTree, allow_cut: bool = False) -> Violation | None:
     """None if every node is a correct instance of a rule of `logic`
     (Cut nodes accepted only under allow_cut); else the first violation,
-    in pre-order."""
+    in pre-order.  Each distinct `(rule, conclusion, premise conclusions)`
+    is matched against the rule once: `valid` keeps the ones that fit."""
+    valid: set[tuple[RuleId, Sequent, tuple[Sequent, ...]]] = set()
     stack: list[tuple[ProofTree, tuple[int, ...]]] = [(tree, ())]
     while stack:
         node, path = stack.pop()
@@ -319,11 +363,13 @@ def check_proof(logic: LogicId, tree: ProofTree, allow_cut: bool = False) -> Vio
                 return Violation(path, rule, "Cut is not allowed here")
         elif rule not in RULES_OF[logic]:
             return Violation(path, rule, f"rule is not part of {logic.value}")
-        children = tuple(p.conclusion for p in node.premises)
-        if not _matches_some_instance(rule, node.conclusion, children):
-            return Violation(
-                path, rule, "no instantiation of the rule fits conclusion and premises"
-            )
+        instance = (rule, node.conclusion, tuple([p.conclusion for p in node.premises]))
+        if instance not in valid:
+            if not _matches_some_instance(*instance):
+                return Violation(
+                    path, rule, "no instantiation of the rule fits conclusion and premises"
+                )
+            valid.add(instance)
         stack.extend((node.premises[i], path + (i,)) for i in reversed(range(len(node.premises))))
     return None
 
@@ -359,12 +405,15 @@ class Prover:
 
     Results are tabled across calls: the reachable sequent space of a goal
     is closed under backward rule application and saturated bottom-up, so
-    every sequent touched gets a final verdict.  A Prover instance is
+    every sequent touched gets a final verdict.  With a `state_cap`, a goal
+    whose new region would hold more sequents than the cap raises
+    `StateLimitError` and leaves the table as it was.  A Prover instance is
     single-threaded; use separate instances for concurrent work.
     """
 
-    def __init__(self, logic: LogicId):
+    def __init__(self, logic: LogicId, state_cap: int | None = None):
         self.logic = logic
+        self.state_cap = state_cap
         # sequent -> _REFUTED, or the positive tick at which it was proven
         self._status: dict[Sequent, int] = {}
         self._clock = 0
@@ -389,11 +438,14 @@ class Prover:
         # rules build the same premise many times over; keeping the first
         # equal object frees the copies at once and hashes each sequent once
         canon: dict[Sequent, Sequent] = {goal: goal}
+        cap = self.state_cap  # no region size equals None
         stack = [goal]
         while stack:
             s = stack.pop()
             if s in apps or s in status:
                 continue
+            if len(apps) == cap:
+                raise StateLimitError(f"proof search exceeded {cap} sequents")
             instances = apps[s] = []
             for _, premises in applicable_rules(self.logic, s):
                 premises = tuple([canon.setdefault(p, p) for p in premises])
@@ -452,23 +504,26 @@ class Prover:
         strictly earlier (ticks start at 1; a refuted or unknown premise has
         none).
 
-        One explicit stack lists the nodes in pre-order; the trees are then
-        built in reverse, each node taking its premises' trees off `built`.
+        One explicit stack lists the nodes in pre-order, and `_assemble`
+        builds the tree.  Each distinct sequent picks its pair once
+        (`chosen`); every occurrence still gets a node of its own.
         """
         status = self._status
+        chosen: dict[Sequent, tuple[RuleId, tuple[Sequent, ...]]] = {}
         nodes: list[tuple[Sequent, RuleId, int]] = []
         stack = [goal]
         while stack:
             s = stack.pop()
-            tick = status[s]
-            for rule, premises in applicable_rules(self.logic, s):
-                if all(0 < status.get(p, 0) < tick for p in premises):
-                    break
-            else:
-                raise AssertionError(f"no justification recorded for {print_sequent(s)}")
+            pair = chosen.get(s)
+            if pair is None:
+                tick = status[s]
+                for pair in applicable_rules(self.logic, s):
+                    if all(0 < status.get(p, 0) < tick for p in pair[1]):
+                        break
+                else:
+                    raise AssertionError(f"no justification recorded for {print_sequent(s)}")
+                chosen[s] = pair
+            rule, premises = pair
             nodes.append((s, rule, len(premises)))
             stack.extend(reversed(premises))
-        built: list[ProofTree] = []
-        for s, rule, n in reversed(nodes):
-            built.append(ProofTree(s, rule, tuple([built.pop() for _ in range(n)])))
-        return built[0]
+        return _assemble(nodes)

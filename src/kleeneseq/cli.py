@@ -11,7 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .syntax import LogicId, StateLimitError, parse_formula, parse_sequent, print_sequent
+from .syntax import (
+    DEFAULT_STATE_CAP,
+    LogicId,
+    StateLimitError,
+    parse_formula,
+    parse_sequent,
+    print_sequent,
+)
 
 # Each command imports the modules it runs, so that a one-query process does
 # not pay to load (and, without cached bytecode, compile) the others.
@@ -42,7 +49,7 @@ def _run_decide(args: argparse.Namespace, logic: LogicId) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(automata.to_dot(left, "left") + "\n")
             fh.write(automata.to_dot(right, "right") + "\n")
-    result = automata.decide(logic, s, state_cap=args.state_cap or automata.DEFAULT_STATE_CAP)
+    result = automata.decide(logic, s, state_cap=args.state_cap or DEFAULT_STATE_CAP)
     if args.format == "json":
         _emit_json(
             {
@@ -63,7 +70,7 @@ def _run_prove(args: argparse.Namespace, logic: LogicId) -> int:
     from . import calculus
 
     s = parse_sequent(args.input)
-    tree = calculus.Prover(logic).prove(s)
+    tree = calculus.Prover(logic, args.state_cap or DEFAULT_STATE_CAP).prove(s)
     if args.format == "json":
         _emit_json(calculus.tree_to_json_dict(tree) if tree else None)
     elif tree is None:
@@ -111,7 +118,7 @@ def _run_crossval(args: argparse.Namespace, logic: LogicId) -> int:
 
     from . import algebra, automata, calculus, oracle
 
-    state_cap = args.state_cap or automata.DEFAULT_STATE_CAP
+    state_cap = args.state_cap or DEFAULT_STATE_CAP
     stats = {
         logic: {
             "total": 0,
@@ -124,7 +131,7 @@ def _run_crossval(args: argparse.Namespace, logic: LogicId) -> int:
         for logic in LogicId
     }
     fragment_violations = 0
-    provers = {logic: calculus.Prover(logic) for logic in LogicId}
+    provers = {logic: calculus.Prover(logic, state_cap) for logic in LogicId}
     for s in oracle.enumerate_sequents(DEFAULT_CROSSVAL_VARIABLES, args.max_size):
         proved = {}
         for logic in LogicId:
@@ -205,11 +212,8 @@ def run(args: argparse.Namespace, logic: LogicId) -> int:
                 args.input = fh.read()
         return _RUNNERS[args.command](args, logic)
     except RecursionError:
-        # parsing, hashing, proof search and tree walks keep their own
-        # stack, but the formula printer (`syntax._fmt`), `json`, the
-        # proof-tree JSON converters, `compile`'s two walks,
-        # `algebra._map_queries` and `==` on formulas that share no nodes
-        # recurse on nesting
+        # `compile`'s first walk, `json` and `==` on formulas that share no
+        # nodes recurse on nesting; every other walk keeps its own stack
         message = "error: input nested too deeply"
     except StateLimitError as e:
         message = f"resource limit exceeded: {e}"
@@ -260,6 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="cut-free backward proof search")
     add_common(p)
+    p.add_argument("--state-cap", type=_positive_int)
 
     p = sub.add_parser("check", help="validate a JSON proof tree")
     add_common(p)

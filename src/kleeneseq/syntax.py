@@ -37,6 +37,11 @@ class StateLimitError(RuntimeError):
     """A search exceeded its configured state cap."""
 
 
+# The cap the CLI gives a search when no `--state-cap` is passed: product
+# states of an inclusion check, or sequents of one proof-search region.
+DEFAULT_STATE_CAP = 10**6
+
+
 class Value:
     """Base of the immutable value classes.
 
@@ -428,26 +433,53 @@ def parse_sequent(text: str) -> Sequent:
     return Sequent(tuple(antecedent), succedent)
 
 
-def _fmt(f: Formula, min_prec: int, ops: dict[type, str]) -> str:
-    cls = f.__class__
-    if cls is Var:
-        return f.name
-    if cls is Query:
-        return _fmt(f.body, _PREC[Query], ops) + ops[Query]
-    if cls is Or or cls is Fuse:
-        prec = _PREC[cls]
-        # left-associated: the right child needs parens at equal precedence
-        text = _fmt(f.left, prec, ops) + ops[cls] + _fmt(f.right, prec + 1, ops)
-        return "(" + text + ")" if prec < min_prec else text
-    if cls is One or cls is Zero:
-        return ops[cls]
-    raise TypeError(f"not a formula: {f!r}")
+def _fmt(f: Formula, ops: dict[type, str]) -> str:
+    """Minimal-parenthesis text of `f` with the symbols `ops`, on an explicit
+    stack: the loop descends left spines directly and keeps on `stack`, right
+    to left, the text and the right operands still to write."""
+    out: list[str] = []
+    stack: list = []  # strings and (formula, min_prec) pairs
+    min_prec = 0
+    while True:
+        cls = f.__class__
+        if cls is Query:
+            stack.append(ops[Query])
+            f, min_prec = f.body, _PREC[Query]
+            continue
+        if cls is Or or cls is Fuse:
+            prec = _PREC[cls]
+            if prec < min_prec:
+                out.append("(")
+                stack.append(")")
+            # left-associated: the right child needs parens at equal precedence
+            right = f.right
+            if right.__class__ is Var:  # its text, without a round trip
+                stack += (right.name, ops[cls])
+            else:
+                stack += ((right, prec + 1), ops[cls])
+            f, min_prec = f.left, prec
+            continue
+        if cls is Var:
+            out.append(f.name)
+        elif cls is One or cls is Zero:
+            out.append(ops[cls])
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+            else:
+                f, min_prec = item
+                break
+        else:
+            return "".join(out)
 
 
 def print_as(f: Formula, spelling: Spelling) -> str:
     """Minimal-parenthesis rendering in `spelling`; `parse_as` inverts it
     exactly."""
-    return _fmt(f, 0, spelling.ops)
+    return _fmt(f, spelling.ops)
 
 
 def print_formula(f: Formula) -> str:

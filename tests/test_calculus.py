@@ -14,10 +14,18 @@ from kleeneseq.calculus import (
     check_proof,
     render_tree,
     tree_from_json,
+    tree_from_json_dict,
     tree_to_json,
     tree_to_json_dict,
 )
-from kleeneseq.syntax import Sequent, parse_sequent, print_sequent, sequent_size
+from kleeneseq.syntax import (
+    ParseError,
+    Sequent,
+    StateLimitError,
+    parse_sequent,
+    print_sequent,
+    sequent_size,
+)
 from strategies import sequents, subformulas
 
 KL, KLP = LogicId.KL, LogicId.KL_PLUS
@@ -232,6 +240,34 @@ def test_check_reports_deep_violation_path():
     assert violation is not None and violation.path == (0, 0)
 
 
+def test_check_reports_first_of_repeated_invalid_instances():
+    # the same invalid instance at (0, 0) and (1,): only valid instances are
+    # remembered, so each is checked and the first in pre-order is reported
+    bad = node(RuleId.OR_R1, "a |- a | b", leaf(RuleId.AX, "b |- b"))
+    tree = node(
+        RuleId.FUSE_R,
+        "1, a, a |- (a | b) . (a | b)",
+        node(RuleId.ONE_L, "1, a |- a | b", bad),
+        bad,
+    )
+    violation = check_proof(KL, tree)
+    assert violation is not None and violation.path == (0, 0)
+    assert violation.rule is RuleId.OR_R1
+    # a node whose conclusion and premises were accepted under one rule is
+    # still rejected under another
+    tree = node(RuleId.OR_L, "a | a |- a", leaf(RuleId.AX, "a |- a"), leaf(RuleId.AX_Q, "a |- a"))
+    violation = check_proof(KL, tree)
+    assert violation is not None and violation.path == (1,)
+
+
+def test_check_accepts_repeated_valid_instances():
+    ax = leaf(RuleId.AX, "a |- a")
+    fuse = node(RuleId.FUSE_R, "a, a |- a . a", ax, leaf(RuleId.AX, "a |- a"))
+    tree = node(RuleId.FUSE_R, "a, a, a, a |- (a . a) . (a . a)", fuse, fuse)
+    assert check_proof(KL, tree) is None
+    assert check_proof(KLP, tree) is None
+
+
 def test_check_rejects_leaf_claiming_a_unary_rule():
     # only Ax, AxQ, OneR and ZeroL close a branch
     violation = check_proof(KL, leaf(RuleId.OR_R1, "a |- a | b"))
@@ -336,6 +372,25 @@ def test_prove_prefers_small_proofs():
     assert tree.rule is RuleId.PLUS_Q
     assert tree.premises[0].rule is RuleId.AX
     assert Prover(KL).prove(parse_sequent("a |- a")).rule is RuleId.AX
+
+
+def test_prover_state_cap_bounds_one_region():
+    goal = parse_sequent(".".join(["a"] * 400) + " |- a?")
+    for logic in (KL, KLP):
+        prover = Prover(logic, state_cap=1000)
+        with pytest.raises(StateLimitError, match="exceeded 1000 sequents"):
+            prover.derivable(goal)
+        assert not prover._status  # the failed region left no verdicts behind
+        assert prover.derivable(parse_sequent("a |- a"))
+        assert prover.prove(parse_sequent("a, a |- a . a")) is not None
+    # a region of exactly the cap is searched; one sequent more is not
+    goal = parse_sequent("a?, a |- a . a?")
+    full = Prover(KL)
+    assert full.derivable(goal)
+    region = len(full._status)
+    assert Prover(KL, state_cap=region).derivable(goal)
+    with pytest.raises(StateLimitError):
+        Prover(KL, state_cap=region - 1).derivable(goal)
 
 
 def test_fresh_prover_matches_shared_one():
@@ -486,6 +541,36 @@ def test_json_loaded_trees_recheck_across_enumeration():
                 seen_rules.add(node.rule)
                 stack.extend(node.premises)
         assert len(seen_rules) >= 8  # the sweep must exercise a spread of rules
+
+
+def test_tree_json_reports_first_malformed_node_in_pre_order():
+    def obj(rule, conclusion, *premises):
+        return {"rule": rule, "conclusion": conclusion, "premises": list(premises)}
+
+    unknown_rule = obj("Huh", "a |- a")
+    bad_sequent = obj("Ax", "a |-")
+    with pytest.raises(ParseError):
+        tree_from_json_dict(obj("OrL", "a | a |- a", bad_sequent, unknown_rule))
+    with pytest.raises(ValueError, match="unknown rule name 'Huh'"):
+        tree_from_json_dict(obj("OrL", "a | a |- a", unknown_rule, bad_sequent))
+    # pre-order, not breadth first: (0, 0) comes before (1,)
+    with pytest.raises(ParseError):
+        tree_from_json_dict(
+            obj("OrL", "a | a |- a", obj("OrR1", "a |- a | b", bad_sequent), unknown_rule)
+        )
+    # within a node, its fields are checked before its conclusion is parsed
+    with pytest.raises(ValueError, match="premises must be a list"):
+        tree_from_json_dict(obj("OneL", "1 |- a", {**bad_sequent, "premises": 0}))
+
+
+def test_deep_tree_json_dicts_round_trip():
+    # the dict converters keep their own stack; `json` itself still recurses
+    tree = leaf(RuleId.AX, "a |- a")
+    for _ in range(1500):
+        tree = node(RuleId.CUT, "a |- a", tree, leaf(RuleId.AX, "a |- a"))
+    back = tree_from_json_dict(tree_to_json_dict(tree))
+    assert check_proof(KL, back, allow_cut=True) is None
+    assert render_tree(back) == render_tree(tree)
 
 
 def test_tree_json_rejects_unknown_rule():

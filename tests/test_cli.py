@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -69,14 +70,33 @@ def test_decide_deeply_nested_formula_exit_2(capsys):
     assert err == "error: input nested too deeply\n"
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("fmt", ["json"])
 def test_prove_deeply_nested_succedent_exit_2(capsys, fmt):
-    # search and tree building succeed; printing the 1,501-deep succedent
-    # recurses
+    # search, tree building and the tree's JSON object succeed; `json`
+    # recurses on the 1,501-deep tree
     text = "a |- a" + "?" * 1500
     code, out, err = run(capsys, "prove", "--logic", "kl+", "--format", fmt, text)
     assert (code, out) == (2, "")
     assert err == "error: input nested too deeply\n"
+
+
+def test_prove_deeply_nested_succedent_renders(capsys):
+    # the printer keeps its own stack
+    text = "a |- a" + "?" * 1500
+    code, out, err = run(capsys, "prove", "--logic", "kl+", text)
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 1501)
+    assert lines[0] == text + "   [PlusQ]"
+    assert lines[-1] == " " * 3000 + "a |- a   [Ax]"
+
+
+def test_prove_state_cap_error_is_distinct(capsys):
+    text = ".".join(["a"] * 400) + " |- a?"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "prove", "--logic", "kl", "--state-cap", "1000", text)
+    assert (code, out) == (2, "")
+    assert err == "resource limit exceeded: proof search exceeded 1000 sequents\n"
+    assert time.perf_counter() - t0 < 10
 
 
 def test_decide_dot_dump(capsys, tmp_path):
@@ -263,6 +283,20 @@ def test_translate(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.strip() == expected
+
+
+@pytest.mark.parametrize(
+    "map_name, text, expected",
+    [
+        # each `^` under j copies its image, so depth here comes from `.`
+        ("j", ".".join(["a^"] * 2000), "a.a*" + ".(a.a*)" * 1999),
+        ("i", "a" + "*" * 2000, "1+" + "(1+" * 1999 + "a^" + ")^" * 1999),
+    ],
+    ids=["j-fuse-chain", "i-star-tower"],
+)
+def test_translate_deep_terms(capsys, map_name, text, expected):
+    code, out, err = run(capsys, "translate", "--map", map_name, text)
+    assert (code, out, err) == (0, expected + "\n", "")
 
 
 def test_translate_json(capsys):

@@ -17,6 +17,7 @@ from kleeneseq.syntax import (
     Sequent,
     Var,
     Zero,
+    _nodes,
     formula_size,
     formula_variables,
     parse_formula,
@@ -339,6 +340,26 @@ def test_deep_formulas_size_and_variables():
     assert (formula_size(chain), formula_variables(chain)) == (14999, {"a"})
     s = Sequent((deep, chain), deep)
     assert (sequent_size(s), sequent_variables(s)) == (25001, {"a"})
+
+
+def _shape(f):
+    """The pre-order node classes and names of `f`: equal shapes are equal
+    formulas, compared without recursing as `==` does."""
+    return [(g.__class__, getattr(g, "name", None)) for g in _nodes(f)]
+
+
+def test_printer_keeps_its_own_stack():
+    deep = parse_formula("a" + "?" * 5000)
+    text = print_formula(deep)
+    assert text == "a" + "?" * 5000
+    assert _shape(parse_formula(text)) == _shape(deep)
+    # right-nested operators need a pair of parentheses per level
+    nested = a
+    for _ in range(5000):
+        nested = Or(b, Fuse(a, nested))
+    text = print_formula(nested)
+    assert text == "b | a . (" * 4999 + "b | a . a" + ")" * 4999
+    assert _shape(parse_formula(text)) == _shape(nested)
 
 
 @given(st.text(alphabet="ab01|.?,()- \t", max_size=30))
