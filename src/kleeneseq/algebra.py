@@ -45,30 +45,19 @@ def _map_queries(f: Formula, query: Callable[[Formula], Formula]) -> Formula:
     """Image of f sending each `?` with mapped body g to query(g),
     homomorphic elsewhere.
 
-    Post-order on an explicit stack, so depth costs no recursion: a node is
-    pushed once to expand it and once more, under its children, to combine
-    their images, which `images` holds.
+    Built in post-order, so depth costs no recursion: `images` holds the
+    images of the subformulas whose parent is still to come.
     """
     images: list[Formula] = []
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        g, combine = stack.pop()
+    for g in syntax._postorder(f):
         cls = g.__class__
-        if cls is Var or cls is Zero or cls is One:
-            images.append(g)
-        elif cls is Query:
-            if combine:
-                images[-1] = query(images[-1])
-            else:
-                stack += ((g, True), (g.body, False))
+        if cls is Query:
+            images[-1] = query(images[-1])
         elif cls is Or or cls is Fuse:
-            if combine:
-                right = images.pop()
-                images[-1] = cls(images[-1], right)
-            else:
-                stack += ((g, True), (g.right, False), (g.left, False))
+            right = images.pop()
+            images[-1] = cls(images[-1], right)
         else:
-            raise TypeError(f"not a formula: {g!r}")
+            images.append(g)
     return images[0]
 
 
@@ -98,8 +87,33 @@ PLUS_TERMS = Spelling("term", {**_TERM_OPS, Query: "^"}, {"*": "foreign"})
 _SPELLINGS = {LogicId.KL: STAR_TERMS, LogicId.KL_PLUS: PLUS_TERMS}
 
 
+def _tree_size(f: Formula) -> int:
+    """Node occurrences of `f` read as a tree, counted on its shared DAG:
+    `sizes` keeps each distinct node's count by identity, and the explicit
+    stack keeps a node until its children (its fields but a name) are counted."""
+    sizes: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        children = () if g.__class__ is Var else g._values()
+        todo = [c for c in children if id(c) not in sizes]
+        if todo:
+            stack += todo
+        else:
+            sizes[id(stack.pop())] = 1 + sum([sizes[id(c)] for c in children])
+    return sizes[id(f)]
+
+
 def print_term(t: Term) -> str:
-    """Compact rendering (no spaces); the term parsers invert it exactly."""
+    """Compact rendering (no spaces); the term parsers invert it exactly.
+
+    `map_j` writes the image of each `^` body twice, as shared nodes, so a
+    term can be exponentially longer as text than as a DAG: a term of more
+    than `DEFAULT_STATE_CAP` nodes raises `StateLimitError` before printing.
+    """
+    size, cap = _tree_size(t.formula), syntax.DEFAULT_STATE_CAP
+    if size > cap:
+        raise syntax.StateLimitError(f"term has {size} nodes, more than {cap} to print")
     return syntax.print_as(t.formula, _SPELLINGS[t.logic])
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from enum import Enum
+from functools import cache
 
 from .syntax import (
+    DEFAULT_STATE_CAP,
     Fuse,
     LogicId,
     One,
@@ -234,20 +236,6 @@ class ProofTree(Value):
         object.__setattr__(self, "premises", premises)
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with `fn(key)`: one call per distinct
-    key.  A key whose call raises is not stored."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _assemble(nodes: list[tuple[Sequent, RuleId, int]]) -> ProofTree:
     """The tree whose nodes, in pre-order, are `(conclusion, rule, number of
     premises)`: built in reverse, each node taking its premises' trees off
@@ -262,14 +250,14 @@ def _assemble(nodes: list[tuple[Sequent, RuleId, int]]) -> ProofTree:
 def tree_to_json_dict(tree: ProofTree) -> dict:
     """The JSON object of `tree`, built on an explicit stack; each distinct
     conclusion is printed once."""
-    texts = _Memo(print_sequent)
+    texts = cache(print_sequent)
     root: list[dict] = []
     stack = [(tree, root)]
     while stack:
         node, siblings = stack.pop()
         premises: list[dict] = []
         siblings.append(
-            {"rule": node.rule.value, "conclusion": texts[node.conclusion], "premises": premises}
+            {"rule": node.rule.value, "conclusion": texts(node.conclusion), "premises": premises}
         )
         stack.extend((p, premises) for p in reversed(node.premises))
     return root[0]
@@ -286,7 +274,7 @@ def tree_from_json_dict(obj: object) -> ProofTree:
     """The tree a JSON object describes.  The nodes are validated in
     pre-order on an explicit stack, so the first malformed node is the one
     reported; each distinct conclusion text is parsed once."""
-    sequents = _Memo(parse_sequent)
+    sequents = cache(parse_sequent)
     nodes: list[tuple[Sequent, RuleId, int]] = []
     stack = [obj]
     while stack:
@@ -307,7 +295,7 @@ def tree_from_json_dict(obj: object) -> ProofTree:
             raise ValueError(f"unknown rule name {rule_name!r}")
         if not isinstance(premises, list):
             raise ValueError("premises must be a list")
-        nodes.append((sequents[conclusion_text], _RULE_BY_NAME[rule_name], len(premises)))
+        nodes.append((sequents(conclusion_text), _RULE_BY_NAME[rule_name], len(premises)))
         stack.extend(reversed(premises))
     return _assemble(nodes)
 
@@ -319,12 +307,12 @@ def tree_from_json(text: str) -> ProofTree:
 def render_tree(tree: ProofTree) -> str:
     """Indented one-node-per-line rendering, premises below conclusions;
     each distinct conclusion is printed once."""
-    texts = _Memo(print_sequent)
+    texts = cache(print_sequent)
     lines: list[str] = []
     stack = [(tree, "")]
     while stack:
         node, pad = stack.pop()
-        lines.append(f"{pad}{texts[node.conclusion]}   [{node.rule.value}]")
+        lines.append(f"{pad}{texts(node.conclusion)}   [{node.rule.value}]")
         stack.extend((p, pad + "  ") for p in reversed(node.premises))
     return "\n".join(lines)
 
@@ -405,13 +393,14 @@ class Prover:
 
     Results are tabled across calls: the reachable sequent space of a goal
     is closed under backward rule application and saturated bottom-up, so
-    every sequent touched gets a final verdict.  With a `state_cap`, a goal
-    whose new region would hold more sequents than the cap raises
-    `StateLimitError` and leaves the table as it was.  A Prover instance is
-    single-threaded; use separate instances for concurrent work.
+    every sequent touched gets a final verdict.  A goal whose new region
+    would hold more than `state_cap` sequents (by default
+    `DEFAULT_STATE_CAP`, the bound `decide` puts on its inclusion search)
+    raises `StateLimitError` and leaves the table as it was.  A Prover
+    instance is single-threaded; use separate instances for concurrent work.
     """
 
-    def __init__(self, logic: LogicId, state_cap: int | None = None):
+    def __init__(self, logic: LogicId, state_cap: int = DEFAULT_STATE_CAP):
         self.logic = logic
         self.state_cap = state_cap
         # sequent -> _REFUTED, or the positive tick at which it was proven
@@ -438,7 +427,7 @@ class Prover:
         # rules build the same premise many times over; keeping the first
         # equal object frees the copies at once and hashes each sequent once
         canon: dict[Sequent, Sequent] = {goal: goal}
-        cap = self.state_cap  # no region size equals None
+        cap = self.state_cap
         stack = [goal]
         while stack:
             s = stack.pop()

@@ -49,7 +49,7 @@ def _run_decide(args: argparse.Namespace, logic: LogicId) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(automata.to_dot(left, "left") + "\n")
             fh.write(automata.to_dot(right, "right") + "\n")
-    result = automata.decide(logic, s, state_cap=args.state_cap or DEFAULT_STATE_CAP)
+    result = automata.decide(logic, s, state_cap=args.state_cap)
     if args.format == "json":
         _emit_json(
             {
@@ -70,7 +70,7 @@ def _run_prove(args: argparse.Namespace, logic: LogicId) -> int:
     from . import calculus
 
     s = parse_sequent(args.input)
-    tree = calculus.Prover(logic, args.state_cap or DEFAULT_STATE_CAP).prove(s)
+    tree = calculus.Prover(logic, args.state_cap).prove(s)
     if args.format == "json":
         _emit_json(calculus.tree_to_json_dict(tree) if tree else None)
     elif tree is None:
@@ -118,7 +118,6 @@ def _run_crossval(args: argparse.Namespace, logic: LogicId) -> int:
 
     from . import algebra, automata, calculus, oracle
 
-    state_cap = args.state_cap or DEFAULT_STATE_CAP
     stats = {
         logic: {
             "total": 0,
@@ -131,7 +130,7 @@ def _run_crossval(args: argparse.Namespace, logic: LogicId) -> int:
         for logic in LogicId
     }
     fragment_violations = 0
-    provers = {logic: calculus.Prover(logic, state_cap) for logic in LogicId}
+    provers = {logic: calculus.Prover(logic, args.state_cap) for logic in LogicId}
     for s in oracle.enumerate_sequents(DEFAULT_CROSSVAL_VARIABLES, args.max_size):
         proved = {}
         for logic in LogicId:
@@ -140,7 +139,7 @@ def _run_crossval(args: argparse.Namespace, logic: LogicId) -> int:
             t0 = perf_counter()
             by_search = provers[logic].derivable(s)
             t1 = perf_counter()
-            decision = automata.decide(logic, s, state_cap=state_cap)
+            decision = automata.decide(logic, s, state_cap=args.state_cap)
             row["prove_s"] += t1 - t0
             row["decide_s"] += perf_counter() - t1
             proved[logic] = by_search
@@ -259,12 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="semantic decision via language inclusion")
     add_common(p)
-    p.add_argument("--state-cap", type=_positive_int)
+    p.add_argument("--state-cap", type=_positive_int, default=DEFAULT_STATE_CAP)
     p.add_argument("--dot", metavar="FILE", help="dump the two automata in DOT format")
 
     p = sub.add_parser("prove", help="cut-free backward proof search")
     add_common(p)
-    p.add_argument("--state-cap", type=_positive_int)
+    p.add_argument("--state-cap", type=_positive_int, default=DEFAULT_STATE_CAP)
 
     p = sub.add_parser("check", help="validate a JSON proof tree")
     add_common(p)
@@ -284,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--max-size", type=_positive_int, default=4)
     p.add_argument("--max-len", type=_positive_int, default=6)
-    p.add_argument("--state-cap", type=_positive_int)
+    p.add_argument("--state-cap", type=_positive_int, default=DEFAULT_STATE_CAP)
 
     return parser
 

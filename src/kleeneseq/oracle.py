@@ -13,19 +13,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from .algebra import Term
-from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Value, Var, Zero
+from .syntax import Formula, Fuse, LogicId, One, Or, Query, Sequent, Var, Zero
 
 Word = tuple[str, ...]
-
-
-class BoundedLanguage(Value):
-    """Exactly the words of a term's language up to max_len letters."""
-
-    __slots__ = _fields = ("max_len", "words")
-
-    def __init__(self, max_len: int, words: frozenset[Word]):
-        object.__setattr__(self, "max_len", max_len)
-        object.__setattr__(self, "words", words)
 
 
 def _concat(xs: set[Word], ys: set[Word], max_len: int) -> set[Word]:
@@ -69,12 +59,12 @@ def _words(f: Formula, logic: LogicId, max_len: int) -> set[Word]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def enumerate_language(t: Term, max_len: int) -> BoundedLanguage:
+def enumerate_language(t: Term, max_len: int) -> frozenset[Word]:
     """{ w in the language of t : |w| <= max_len }, by structural recursion
     with truncated concatenation and iteration to a fixpoint."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    return BoundedLanguage(max_len, frozenset(_words(t.formula, t.logic, max_len)))
+    return frozenset(_words(t.formula, t.logic, max_len))
 
 
 def bounded_inclusion(x: Term, y: Term, max_len: int) -> bool:

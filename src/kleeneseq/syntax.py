@@ -15,7 +15,6 @@ report malformed input alike, as a `ParseError`.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from enum import Enum
 
 
@@ -236,35 +235,40 @@ class Sequent(Value):
             return h
 
 
-def _nodes(*roots: Formula) -> Iterator[Formula]:
-    """Every node occurrence under `roots`, walked on an explicit stack."""
+def _postorder(*roots: Formula) -> list[Formula]:
+    """Every node occurrence under `roots`, each after its children and left
+    before right.  One explicit stack walks the occurrences parent first and
+    right before left, which is the post-order reversed."""
+    out: list[Formula] = []
     stack = list(roots)
     while stack:
         f = stack.pop()
-        yield f
+        out.append(f)
         if isinstance(f, Query):
             stack.append(f.body)
         elif isinstance(f, (Or, Fuse)):
-            stack += (f.right, f.left)
+            stack += (f.left, f.right)
         elif not isinstance(f, (Var, Zero, One)):
             raise TypeError(f"not a formula: {f!r}")
+    out.reverse()
+    return out
 
 
 def formula_size(f: Formula) -> int:
     """Number of AST nodes."""
-    return sum(1 for _ in _nodes(f))
+    return len(_postorder(f))
 
 
 def sequent_size(s: Sequent) -> int:
-    return sum(1 for _ in _nodes(*s.antecedent, s.succedent))
+    return len(_postorder(*s.antecedent, s.succedent))
 
 
 def formula_variables(f: Formula) -> frozenset[str]:
-    return frozenset([g.name for g in _nodes(f) if isinstance(g, Var)])
+    return frozenset([g.name for g in _postorder(f) if isinstance(g, Var)])
 
 
 def sequent_variables(s: Sequent) -> frozenset[str]:
-    return frozenset([g.name for g in _nodes(*s.antecedent, s.succedent) if isinstance(g, Var)])
+    return frozenset([g.name for g in _postorder(*s.antecedent, s.succedent) if isinstance(g, Var)])
 
 
 # --- concrete syntax ---------------------------------------------------------

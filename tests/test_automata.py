@@ -65,8 +65,8 @@ def test_star_unfolding_equivalence():
     lhs_term = star("1+a.a*")
     rhs_term = star("a*")
     assert (
-        oracle.enumerate_language(lhs_term, 6).words
-        == oracle.enumerate_language(rhs_term, 6).words
+        oracle.enumerate_language(lhs_term, 6)
+        == oracle.enumerate_language(rhs_term, 6)
     )
     assert equivalent(compile(lhs_term), compile(rhs_term))
 
@@ -92,7 +92,7 @@ def _assert_position_automaton_of(nfa, t):
     assert nfa.entered_on == {
         x: sum(1 << p for p, y in enumerate(nfa.letters, 1) if y == x) for x in nfa.letters
     }
-    assert words_up_to(nfa, 5) == oracle.enumerate_language(t, 5).words
+    assert words_up_to(nfa, 5) == oracle.enumerate_language(t, 5)
 
 
 @given(star_terms(max_leaves=6))
@@ -321,8 +321,8 @@ def test_inclusion_across_letter_sets(lhs, rhs, cex):
 def test_equivalent_examples():
     x = compile(star("a*.a"))
     y = compile(star("a.a*"))
-    assert oracle.enumerate_language(star("a*.a"), 6).words == (
-        oracle.enumerate_language(star("a.a*"), 6).words
+    assert oracle.enumerate_language(star("a*.a"), 6) == (
+        oracle.enumerate_language(star("a.a*"), 6)
     )
     assert equivalent(x, x)
     assert equivalent(x, y)

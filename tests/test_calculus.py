@@ -19,6 +19,7 @@ from kleeneseq.calculus import (
     tree_to_json_dict,
 )
 from kleeneseq.syntax import (
+    DEFAULT_STATE_CAP,
     ParseError,
     Sequent,
     StateLimitError,
@@ -375,6 +376,7 @@ def test_prove_prefers_small_proofs():
 
 
 def test_prover_state_cap_bounds_one_region():
+    assert Prover(KL).state_cap == DEFAULT_STATE_CAP  # bounded by default, as `decide` is
     goal = parse_sequent(".".join(["a"] * 400) + " |- a?")
     for logic in (KL, KLP):
         prover = Prover(logic, state_cap=1000)

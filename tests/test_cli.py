@@ -9,8 +9,8 @@ import pytest
 
 from kleeneseq import calculus
 from kleeneseq.calculus import LogicId, RuleId
-from kleeneseq.cli import format_word, main
-from kleeneseq.syntax import parse_sequent
+from kleeneseq.cli import _build_parser, format_word, main
+from kleeneseq.syntax import DEFAULT_STATE_CAP, parse_sequent
 
 from cut_corpus import cut, leaf
 
@@ -299,6 +299,20 @@ def test_translate_deep_terms(capsys, map_name, text, expected):
     assert (code, out, err) == (0, expected + "\n", "")
 
 
+def test_translate_output_is_bounded(capsys):
+    # `a` with 18 `^` maps to a term of 786,430 nodes, which prints 1,048,573
+    # bytes; with 19 it has 1,572,862, past the cap, and nothing is printed
+    code, out, err = run(capsys, "translate", "--map", "j", "a" + "^" * 18)
+    assert (code, len(out), err) == (0, 1_048_573, "")
+    code, out, err = run(capsys, "translate", "--map", "j", "a" + "^" * 19)
+    assert (code, out) == (2, "")
+    assert err == "resource limit exceeded: term has 1572862 nodes, more than 1000000 to print\n"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "translate", "--map", "j", "a" + "^" * 30)
+    assert (code, out) == (2, "") and err.startswith("resource limit exceeded: ")
+    assert time.perf_counter() - t0 < 1
+
+
 def test_translate_json(capsys):
     code, out, _ = run(
         capsys, "translate", "--format", "json", "--map", "j", "--logic", "kl", "a^"
@@ -389,6 +403,13 @@ def test_nonpositive_bounds_are_usage_errors(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [("decide", "a |- a"), ("prove", "a |- a"), ("crossval",)], ids=lambda a: a[0]
+)
+def test_state_cap_defaults_to_the_library_bound(argv):
+    assert _build_parser().parse_args(list(argv)).state_cap == DEFAULT_STATE_CAP
 
 
 def test_missing_file_exit_2(capsys):

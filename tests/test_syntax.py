@@ -17,7 +17,7 @@ from kleeneseq.syntax import (
     Sequent,
     Var,
     Zero,
-    _nodes,
+    _postorder,
     formula_size,
     formula_variables,
     parse_formula,
@@ -342,10 +342,28 @@ def test_deep_formulas_size_and_variables():
     assert (sequent_size(s), sequent_variables(s)) == (25001, {"a"})
 
 
+def test_postorder_lists_children_first_left_to_right():
+    f = parse_formula("a . b? | c")
+    assert _postorder(f) == [a, b, Query(b), f.left, c, f]
+    assert _postorder(a, f.left) == [a, a, b, Query(b), f.left]
+    with pytest.raises(TypeError, match="not a formula"):
+        _postorder(Or(a, Fuse(b, "c")))
+
+
+def test_postorder_keeps_its_own_stack():
+    deep = parse_formula("a" + "?" * 5000)
+    chain = parse_formula(".".join(["a?"] * 5000))
+    nodes = _postorder(deep)
+    assert len(nodes) == 5001 and nodes[0] == a and nodes[-1] is deep
+    nodes = _postorder(chain)
+    assert len(nodes) == 14999 and nodes[:2] == [a, Query(a)] and nodes[-1] is chain
+
+
 def _shape(f):
-    """The pre-order node classes and names of `f`: equal shapes are equal
-    formulas, compared without recursing as `==` does."""
-    return [(g.__class__, getattr(g, "name", None)) for g in _nodes(f)]
+    """The post-order node classes and names of `f`: with each class's
+    arity known, equal shapes are equal formulas, compared without
+    recursing as `==` does."""
+    return [(g.__class__, getattr(g, "name", None)) for g in _postorder(f)]
 
 
 def test_printer_keeps_its_own_stack():
