@@ -20,6 +20,8 @@ letter order among those) when inclusion fails.  The product is pruned by
 antichains: a pair whose right subset contains that of an earlier pair with
 the same left state is never explored, which keeps both the verdict and
 that counterexample (see `includes`).
+One record, `DecisionResult`, carries the answer: `includes` returns it and
+`decide` hands it back unchanged.
 """
 
 from __future__ import annotations
@@ -223,19 +225,9 @@ def accepts(nfa: Nfa, word: Iterable[str]) -> bool:
 # --- inclusion ---------------------------------------------------------------
 
 
-class InclusionResult(Value):
-    __slots__ = _fields = ("holds", "counterexample")
-
-    def __init__(self, holds: bool, counterexample: tuple[str, ...] | None):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "counterexample", counterexample)
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> InclusionResult:
-    """Whether every word of `left` is a word of `right`.
+def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> DecisionResult:
+    """Whether every word of `left` is a word of `right`, as the
+    `DecisionResult` that `decide` returns.
 
     When not, the counterexample is the least word in shortlex order (a
     shortest one, least in sorted letter order among those) accepted by
@@ -279,7 +271,7 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
             while index > 0:
                 _, _, index, letter = groups[index]
                 word.append(letter)
-            return InclusionResult(False, tuple(reversed(word)))
+            return DecisionResult(False, tuple(reversed(word)))
         lsucc = _successors(lfollow, lstates)  # on every letter at once
         rsucc = _successors(rfollow, rsubset)
         for letter, lentered, rentered in steps:
@@ -312,7 +304,7 @@ def includes(left: Nfa, right: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Inclu
                     child |= 1 << lnext
             if child:
                 groups.append((child, rsub, index, letter))
-    return InclusionResult(True, None)
+    return DecisionResult(True, None)
 
 
 def equivalent(x: Nfa, y: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> bool:
@@ -336,7 +328,8 @@ class DecisionResult(Value):
 
 def decide(logic: LogicId, s: Sequent, state_cap: int = DEFAULT_STATE_CAP) -> DecisionResult:
     """Semantic derivability: interpret both sides, each variable a
-    distinct letter, and test language inclusion.  No alphabet is needed
+    distinct letter, and test language inclusion; the answer is the
+    `DecisionResult` of `includes`, unchanged.  No alphabet is needed
     beyond the left side's letters, because a word with a letter the left
     side never mentions is not in the left language.
 
@@ -344,9 +337,7 @@ def decide(logic: LogicId, s: Sequent, state_cap: int = DEFAULT_STATE_CAP) -> De
     enumerate; for kl+ it is strictly stronger on sequents with an
     empty-language query in an interior antecedent position (see README).
     """
-    left, right = decision_automata(logic, s)
-    result = includes(left, right, state_cap)
-    return DecisionResult(result.holds, result.counterexample)
+    return includes(*decision_automata(logic, s), state_cap)
 
 
 def decision_automata(logic: LogicId, s: Sequent) -> tuple[Nfa, Nfa]:

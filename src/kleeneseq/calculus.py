@@ -433,7 +433,7 @@ class Prover:
             s = stack.pop()
             if s in apps or s in status:
                 continue
-            if len(apps) == cap:
+            if len(apps) >= cap:
                 raise StateLimitError(f"proof search exceeded {cap} sequents")
             instances = apps[s] = []
             for _, premises in applicable_rules(self.logic, s):

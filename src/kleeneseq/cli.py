@@ -44,12 +44,12 @@ def _run_decide(args: argparse.Namespace, logic: LogicId) -> int:
     s = parse_sequent(args.input)
     from . import automata  # after parsing, so malformed input loads nothing more
 
+    left, right = automata.decision_automata(logic, s)
     if args.dot:
-        left, right = automata.decision_automata(logic, s)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(automata.to_dot(left, "left") + "\n")
             fh.write(automata.to_dot(right, "right") + "\n")
-    result = automata.decide(logic, s, state_cap=args.state_cap)
+    result = automata.includes(left, right, args.state_cap)
     if args.format == "json":
         _emit_json(
             {
@@ -253,8 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="which logic to use (default: kl, with a notice)",
         )
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("input", nargs="?", help="inline input")
-        p.add_argument("--file", help="read input from this path instead")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("input", nargs="?", help="inline input")
+        source.add_argument("--file", help="read input from this path instead")
 
     p = sub.add_parser("decide", help="semantic decision via language inclusion")
     add_common(p)
@@ -289,8 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
 
     uses_logic = args.command in ("decide", "prove", "check") or (
         args.command == "translate" and args.interpret
@@ -301,12 +301,6 @@ def main(argv: list[str] | None = None) -> int:
         logic = LogicId.KL
     else:
         logic = LogicId(args.logic)
-
-    if args.command != "crossval":
-        if args.file is not None and args.input is not None:
-            parser.error("give inline input or --file, not both")
-        if args.file is None and args.input is None:
-            parser.error("missing input (inline or --file)")
 
     return run(args, logic)
 

@@ -70,7 +70,7 @@ def enumerate_language(t: Term, max_len: int) -> frozenset[Word]:
 def bounded_inclusion(x: Term, y: Term, max_len: int) -> bool:
     """Necessary (not sufficient) condition for language inclusion; used to
     cross-check the automata, never as the decision itself."""
-    return _words(x.formula, x.logic, max_len) <= _words(y.formula, y.logic, max_len)
+    return enumerate_language(x, max_len) <= enumerate_language(y, max_len)
 
 
 # --- exhaustive sequent generation -------------------------------------------
@@ -83,14 +83,11 @@ def _formula_pool(variables: tuple[str, ...], max_size: int) -> list[list[Formul
         pool[1] = [Var(v) for v in variables] + [One(), Zero()]
     for n in range(2, max_size + 1):
         layer: list[Formula] = [Query(f) for f in pool[n - 1]]
-        for left_size in range(1, n - 1):
-            for left in pool[left_size]:
-                for right in pool[n - 1 - left_size]:
-                    layer.append(Or(left, right))
-        for left_size in range(1, n - 1):
-            for left in pool[left_size]:
-                for right in pool[n - 1 - left_size]:
-                    layer.append(Fuse(left, right))
+        for binary in (Or, Fuse):
+            for left_size in range(1, n - 1):
+                for left in pool[left_size]:
+                    for right in pool[n - 1 - left_size]:
+                        layer.append(binary(left, right))
         pool[n] = layer
     return pool
 

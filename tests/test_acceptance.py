@@ -176,16 +176,16 @@ def test_c3_translation_maps():
         ix, iy = alg.map_i(x), alg.map_i(y)
         if not equivalent(compile(ix), compile(x)):
             violations.append(("i-language", x))
-        forward = includes(compile(x), compile(y)).holds
-        translated = includes(compile(ix), compile(iy)).holds
+        forward = includes(compile(x), compile(y)).derivable
+        translated = includes(compile(ix), compile(iy)).derivable
         if forward != translated:
             violations.append(("i-order", x, y))
     for x, y in plus_pairs:
         jx, jy = alg.map_j(x), alg.map_j(y)
         if not equivalent(compile(jx), compile(x)):
             violations.append(("j-language", x))
-        forward = includes(compile(x), compile(y)).holds
-        translated = includes(compile(jx), compile(jy)).holds
+        forward = includes(compile(x), compile(y)).derivable
+        translated = includes(compile(jx), compile(jy)).derivable
         if forward != translated:
             violations.append(("j-order", x, y))
     elapsed = time.time() - start
@@ -269,9 +269,9 @@ def test_c6_automata_vs_enumeration_oracle():
             nx, ny = compile(x), compile(y)
             result = includes(nx, ny)
             bounded = oracle.bounded_inclusion(x, y, max_len)
-            if result.holds and not bounded:
+            if result.derivable and not bounded:
                 violations.append(("oracle refutes inclusion", x, y))
-            if not result.holds:
+            if not result.derivable:
                 cex = result.counterexample
                 if not accepts(nx, cex) or accepts(ny, cex):
                     violations.append(("counterexample fails membership", x, y, cex))

@@ -284,18 +284,18 @@ def test_golden_set_views(logic, text, dot, transitions):
 def test_empty_language_included_in_everything():
     zero = compile(star("0"))
     for text in ("0", "1", "a", "a*", "(a+b)*"):
-        assert includes(zero, compile(star(text))).holds
+        assert includes(zero, compile(star(text))).derivable
 
 
 def test_inclusion_with_oracle_confirmation():
     lhs, rhs = star("a.a"), star("a*")
     assert oracle.bounded_inclusion(lhs, rhs, 6)
-    assert includes(compile(lhs), compile(rhs)).holds
+    assert includes(compile(lhs), compile(rhs)).derivable
 
 
 def test_epsilon_counterexample():
     result = includes(compile(plus("1")), compile(plus("a^")))
-    assert not result.holds
+    assert not result.derivable
     assert result.counterexample == ()
 
 
@@ -314,7 +314,7 @@ def test_counterexample_is_shortest_and_letter_ordered():
 def test_inclusion_across_letter_sets(lhs, rhs, cex):
     # each automaton has only its own letters; no alphabet is shared
     result = includes(compile(star(lhs)), compile(star(rhs)))
-    assert result.holds is (cex is None)
+    assert result.derivable is (cex is None)
     assert result.counterexample == cex
 
 
@@ -342,22 +342,22 @@ def test_state_cap_exceeded():
 @settings(max_examples=60, deadline=None)
 def test_inclusion_reflexive(t):
     nfa = compile(t)
-    assert includes(nfa, nfa).holds
+    assert includes(nfa, nfa).derivable
 
 
 @given(star_terms(max_leaves=4), star_terms(max_leaves=4), star_terms(max_leaves=4))
 @settings(max_examples=60, deadline=None)
 def test_inclusion_transitive(x, y, z):
     nx, ny, nz = (compile(t) for t in (x, y, z))
-    if includes(nx, ny).holds and includes(ny, nz).holds:
-        assert includes(nx, nz).holds
+    if includes(nx, ny).derivable and includes(ny, nz).derivable:
+        assert includes(nx, nz).derivable
 
 
 @given(star_terms(max_leaves=5), star_terms(max_leaves=5))
 @settings(max_examples=60, deadline=None)
 def test_inclusion_antisymmetric_up_to_equivalence(x, y):
     nx, ny = compile(x), compile(y)
-    if includes(nx, ny).holds and includes(ny, nx).holds:
+    if includes(nx, ny).derivable and includes(ny, nx).derivable:
         assert equivalent(nx, ny)
 
 
@@ -366,7 +366,7 @@ def test_inclusion_antisymmetric_up_to_equivalence(x, y):
 def test_counterexample_membership(x, y):
     nx, ny = compile(x), compile(y)
     result = includes(nx, ny)
-    if not result.holds:
+    if not result.derivable:
         assert accepts(nx, result.counterexample)
         assert not accepts(ny, result.counterexample)
 
@@ -375,7 +375,7 @@ def test_counterexample_membership_plus_family_seeded():
     for x, y in seeded_term_pairs(seed=99, count=150, max_size=7, plus_family=True):
         nx, ny = compile(x), compile(y)
         result = includes(nx, ny)
-        if not result.holds:
+        if not result.derivable:
             assert accepts(nx, result.counterexample)
             assert not accepts(ny, result.counterexample)
 
@@ -392,7 +392,7 @@ def _shortlex_least_difference(nx, ny, max_len=6):
 def _assert_least_counterexample(nx, ny):
     result = includes(nx, ny)
     reference = _shortlex_least_difference(nx, ny)
-    if result.holds:
+    if result.derivable:
         assert reference is None
     elif reference is None:
         assert len(result.counterexample) > 6
@@ -440,6 +440,13 @@ def test_subset_family_counterexample_within_small_state_cap(logic, length):
     result = decide(logic, parse_sequent(SUBSET_12_B), state_cap=100)
     assert not result.derivable
     assert result.counterexample == ("a",) * length
+
+
+@pytest.mark.parametrize("text", [SUBSET_12_A, SUBSET_12_B], ids=["derivable", "refuted"])
+def test_includes_returns_the_record_decide_returns(text):
+    s = parse_sequent(text)
+    for logic in LogicId:
+        assert includes(*automata.decision_automata(logic, s)) == decide(logic, s)
 
 
 CHAIN_400 = ".".join(["a?"] * 400 + ["a"]) + " |- a?"

@@ -395,6 +395,12 @@ def test_prover_state_cap_bounds_one_region():
         Prover(KL, state_cap=region - 1).derivable(goal)
 
 
+def test_prover_negative_state_cap_admits_nothing():
+    # the same bound rule as `includes`: a cap below one admits no sequent
+    with pytest.raises(StateLimitError):
+        Prover(KL, state_cap=-1).derivable(parse_sequent("a, b |- a . b"))
+
+
 def test_fresh_prover_matches_shared_one():
     # one Prover answering every query, against a fresh Prover per query
     prover = Prover(KL)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kleeneseq import calculus
+from kleeneseq import automata, calculus
 from kleeneseq.calculus import LogicId, RuleId
 from kleeneseq.cli import _build_parser, format_word, main
 from kleeneseq.syntax import DEFAULT_STATE_CAP, parse_sequent
@@ -108,6 +108,17 @@ def test_decide_dot_dump(capsys, tmp_path):
     text = target.read_text(encoding="utf-8")
     assert "digraph left {" in text and "digraph right {" in text
     assert "ε" not in text
+
+
+def test_decide_dot_compiles_each_side_once(capsys, tmp_path, monkeypatch):
+    compiled = []
+    real = automata.compile
+    monkeypatch.setattr(automata, "compile", lambda t: compiled.append(t) or real(t))
+    code, _, _ = run(
+        capsys, "decide", "--logic", "kl", "--dot", str(tmp_path / "a.dot"), "a |- a?"
+    )
+    assert code == 0
+    assert len(compiled) == 2
 
 
 def test_decide_dot_unwritable_path_exit_2(capsys, tmp_path):

@@ -53,6 +53,12 @@ def test_enumerate_rejects_negative_bound():
         enumerate_language(star("a"), -1)
 
 
+def test_bounded_inclusion_rejects_negative_bound():
+    for x, y in ((star("1"), star("a")), (star("a"), star("1"))):
+        with pytest.raises(ValueError):
+            bounded_inclusion(x, y, -1)
+
+
 @pytest.mark.parametrize(
     "x,y,max_len,expected",
     [
